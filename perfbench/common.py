@@ -172,11 +172,8 @@ class Child:
         return " | ".join(lines[-n:]) or "no stderr"
 
 
-def python_argv(script: str, args: Sequence[str], importtime: bool = False) -> List[str]:
-    argv = [sys.executable]
-    if importtime:
-        argv += ["-X", "importtime"]
-    return argv + [os.path.join(HERE, script), *args]
+def python_argv(script: str, args: Sequence[str]) -> List[str]:
+    return [sys.executable, os.path.join(HERE, script), *args]
 
 
 def child_env(store: str, spans: Optional[str] = None) -> Dict[str, str]:
@@ -190,25 +187,27 @@ def child_env(store: str, spans: Optional[str] = None) -> Dict[str, str]:
 _IMPORTTIME = re.compile(r"import time:\s+\d+\s+\|\s+(\d+)\s+\|\s*(\S+)\s*$")
 
 
-def scipy_stats_import_s(log_path: str) -> float:
-    """Cumulative ``-X importtime`` cost of ``scipy.stats`` (0 if never imported)."""
-    with open(log_path, errors="replace") as fh:
-        for line in fh:
-            match = _IMPORTTIME.match(line)
-            if match and match.group(2) == "scipy.stats":
-                return int(match.group(1)) / 1e6
+def scipy_stats_import_s() -> float:
+    """Cumulative ``-X importtime`` cost of ``scipy.stats`` within ``import repro.cli``.
+
+    Measured in a process of its own, so that the traced processes import
+    the program untimed, as the untraced ones do (0 if never imported).
+    """
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", "import repro.cli"],
+        cwd=ROOT, stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=170,
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"import repro.cli failed: {proc.stderr[-2000:]}")
+    for line in proc.stderr.splitlines():
+        match = _IMPORTTIME.match(line)
+        if match and match.group(2) == "scipy.stats":
+            return int(match.group(1)) / 1e6
     return 0.0
 
 
-def quantile(values: Sequence[float], q: float) -> float:
-    """Linear-interpolated quantile (q in [0, 1])."""
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return float(ordered[0])
-    pos = q * (len(ordered) - 1)
-    lo = int(pos)
-    hi = min(lo + 1, len(ordered) - 1)
-    return float(ordered[lo] + (ordered[hi] - ordered[lo]) * (pos - lo))
+def p90(values: Sequence[float]) -> float:
+    return statistics.quantiles(values, n=10, method="inclusive")[8]
 
 
 def median(values: Sequence[float]) -> float:

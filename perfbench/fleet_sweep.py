@@ -105,7 +105,7 @@ def _fleet(run_dir: str, index: int, seeds: List[int], seconds: float,
                 common.python_argv("launch.py", [
                     "worker", "--connect", f"{host}:{port}", "--cache-dir", store,
                     "--name", f"w{w}",
-                ], importtime=traced),
+                ]),
                 common.child_env(store, spans),
                 os.path.join(run_dir, f"worker-{index}-{w}.log"),
             ))
@@ -178,8 +178,8 @@ def run(seed: int, seconds: float, trace: bool, run_dir: str) -> Dict[str, Any]:
         "setup_s": common.median([f["setup_s"] for f in fleets]),
         "wall_s": common.median([s["wall_s"] for s in sweeps]),
         "peak_rss_mb": common.median([f["peak_rss_mb"] for f in fleets]),
-        "eval_p50_ms": common.median([common.quantile(latencies_ms(f), 0.5) for f in fleets]),
-        "eval_p90_ms": common.median([common.quantile(latencies_ms(f), 0.9) for f in fleets]),
+        "eval_p50_ms": common.median([common.median(latencies_ms(f)) for f in fleets]),
+        "eval_p90_ms": common.median([common.p90(latencies_ms(f)) for f in fleets]),
         "req_per_s": common.median([jobs_per_s(f) for f in fleets]),
     }
     common.log(f"fleet-sweep: {len(sweeps)} sweeps of {jobs} shard jobs, "
@@ -203,7 +203,7 @@ def run(seed: int, seconds: float, trace: bool, run_dir: str) -> Dict[str, Any]:
         wall = sum(s["wall_s"] for s in traced["sweeps"])
         stats = traced["stats"]
         out["per_layer"] = layers.layer_metrics(
-            spans, [common.scipy_stats_import_s(w.log_path) for w in traced["workers"]],
+            spans, common.scipy_stats_import_s(),
             None,
             {"jobs": stats.get("jobs", 0), "retries": stats.get("retries", 0),
              "speculations": stats.get("speculations", 0), "workers": WORKERS,

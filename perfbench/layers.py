@@ -287,7 +287,7 @@ def _ratio(numerator: float, denominator: float) -> float:
 
 def layer_metrics(
     spans: List[Dict[str, Any]],
-    scipy_stats_import_s: List[float],
+    scipy_stats_import_s: float,
     serving: Optional[Dict[str, Any]],
     distributed: Optional[Dict[str, Any]],
 ) -> Dict[str, float]:
@@ -332,9 +332,7 @@ def layer_metrics(
     kernels = outermost("kernels.margins")
     metrics: Dict[str, float] = {
         "startup.import_s": statistics.median(imports) if imports else 0.0,
-        "startup.scipy_stats_import_s": (
-            statistics.median(scipy_stats_import_s) if scipy_stats_import_s else 0.0
-        ),
+        "startup.scipy_stats_import_s": scipy_stats_import_s,
         "nn.datasets.load_s": self_s("nn.datasets.load", "nn.datasets.generate"),
         "nn.train_s": self_s("nn.train"),
         "nn.dense_forward_s": self_s("nn.dense_forward"),

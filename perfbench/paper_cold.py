@@ -54,8 +54,7 @@ def _pipeline(run_dir: str, index: int, traced: bool, setup_only: bool = False) 
     store = os.path.join(run_dir, f"store-{index}")
     spans = os.path.join(run_dir, f"spans-{index}.json") if traced else None
     child = common.Child(
-        common.python_argv("pipeline.py", ["--setup-only"] if setup_only else [],
-                           importtime=traced),
+        common.python_argv("pipeline.py", ["--setup-only"] if setup_only else []),
         common.child_env(store, spans),
         os.path.join(run_dir, f"pipeline-{index}.log"),
     )
@@ -70,7 +69,6 @@ def _pipeline(run_dir: str, index: int, traced: bool, setup_only: bool = False) 
     if not setup_only:
         result["wall_s"] = result["finished_at"] - child.spawned_at
     result["spans"] = spans
-    result["log"] = child.log_path
     return result
 
 
@@ -111,8 +109,8 @@ def run(seed: int, seconds: float, trace: bool, run_dir: str) -> Dict[str, Any]:
         "setup_s": common.median(setups),
         "wall_s": common.median([r["wall_s"] for r in untraced]),
         "peak_rss_mb": common.median([r["peak_rss_mb"] for r in untraced]),
-        "eval_p50_ms": common.median([common.quantile(evals_ms(r), 0.5) for r in untraced]),
-        "eval_p90_ms": common.median([common.quantile(evals_ms(r), 0.9) for r in untraced]),
+        "eval_p50_ms": common.median([common.median(evals_ms(r)) for r in untraced]),
+        "eval_p90_ms": common.median([common.p90(evals_ms(r)) for r in untraced]),
         "req_per_s": common.median([len(r["eval_s"]) / sum(r["eval_s"]) for r in untraced]),
     }
     common.log(f"paper-cold: {len(untraced)} cold pipelines, wall "
@@ -129,7 +127,7 @@ def run(seed: int, seconds: float, trace: bool, run_dir: str) -> Dict[str, Any]:
         out["process_names"] = {spans[0]["pid"]: "pipeline"} if spans else {}
         out["missing"] = missing
         out["per_layer"] = layers.layer_metrics(
-            spans, [common.scipy_stats_import_s(traced["log"])], None, None
+            spans, common.scipy_stats_import_s(), None, None
         )
         out["per_layer"]["obs.trace_overhead_frac"] = traced["wall_s"] / first["wall_s"] - 1.0
         out["calls"] = layers.layer_calls(spans, 0)

@@ -1,11 +1,12 @@
 """One cold run of the paper pipeline at the golden fast-profile scale.
 
-Usage: ``python perfbench/pipeline.py [--setup-only]`` with
-``REPRO_CACHE_DIR`` pointing at an empty store (``--setup-only`` stops
-after the imports).  Steps: 6T+8T characterization tables (8000 Monte-Carlo
-samples), the fast benchmark ANN (4000 training images, 10 epochs), the
-Fig. 8 hybrid configuration study with its defaults, and the three golden
-points of ``tests/core/golden_fast_profile.json``.
+Usage: ``python perfbench/pipeline.py [--setup-only]`` with ``src`` on
+``PYTHONPATH`` and ``REPRO_CACHE_DIR`` pointing at an empty store, as
+``paper_cold.py`` starts it (``--setup-only`` stops after the imports).
+Steps: 6T+8T characterization tables (8000 Monte-Carlo samples), the fast
+benchmark ANN (4000 training images, 10 epochs), the Fig. 8 hybrid
+configuration study with its defaults, and the three golden points of
+``tests/core/golden_fast_profile.json``.
 
 After the pipeline it times EVAL_ROUNDS more evaluations of the golden
 points.  Prints one JSON line with the results, those latencies and
@@ -15,16 +16,10 @@ this process.
 """
 
 import json
-import os
 import resource
 import sys
 import time
 
-HERE = os.path.dirname(os.path.abspath(__file__))
-ROOT = os.path.dirname(HERE)
-GOLDEN = os.path.join(ROOT, "tests", "core", "golden_fast_profile.json")
-sys.path.insert(0, os.path.join(ROOT, "src"))
-sys.path.insert(0, HERE)
 EVAL_ROUNDS = 5
 
 
@@ -33,6 +28,8 @@ def main() -> int:
     import repro.cli  # noqa: F401  (the whole program, as the CLI loads it)
 
     imported = time.monotonic_ns()
+    # The benchmark's own modules load after the stamp, outside setup_s.
+    import common
     import layers
 
     layers.start_from_env(started, imported)
@@ -44,7 +41,7 @@ def main() -> int:
     from repro.devices import ptm22
     from repro.mem import CellTables
 
-    with open(GOLDEN) as fh:
+    with open(common.GOLDEN) as fh:
         golden = json.load(fh)["points"]
 
     tables = CellTables.build(technology=ptm22(), n_samples=8000)

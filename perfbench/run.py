@@ -47,7 +47,6 @@ def main(argv=None) -> int:
     common.pin_environment()
 
     import layers
-    import serve_warm
 
     workload = importlib.import_module(args.workload.replace("-", "_"))
 
@@ -55,9 +54,6 @@ def main(argv=None) -> int:
     # Anything that falls back to the default store stays in this run.
     os.environ["REPRO_CACHE_DIR"] = os.path.join(run_dir, "store-default")
     try:
-        # Whichever run comes first in a checkout primes the serve store
-        # (untimed), so no later run pays for it.
-        serve_warm.primed_store(run_dir)
         result = workload.run(args.seed, args.seconds, bool(args.trace), run_dir)
         if args.trace:
             problems = layers.check_layers(result["calls"], result["exercised"], result["idle"])

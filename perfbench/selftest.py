@@ -1,15 +1,16 @@
 """Self-test of the benchmark: every workload once with tracing on.
 
-Usage: ``python3 perfbench/selftest.py [--seed N] [--seconds S]``
+Usage: ``python3 perfbench/selftest.py``
 
-A traced run fails (``correct`` false) when a layer the workload exercises
-records no calls, when a layer marked ≈0 for it records calls, when a
-wrapper target has disappeared, or when the traced outputs differ from
-the untraced ones; it also checks every output as the untraced run does.
-Exits non-zero if any workload fails or misses a per-layer metric.
+Each workload runs with seed 1 for the ``run_seconds`` of
+``BENCHMARK.json``.  A traced run fails (``correct`` false) when a layer
+the workload exercises records no calls, when a layer marked ≈0 for it
+records calls, when a wrapper target has disappeared, or when the traced
+outputs differ from the untraced ones; it also checks every output as
+the untraced run does.  Exits non-zero if any workload fails or misses a
+per-layer metric.
 """
 
-import argparse
 import json
 import os
 import subprocess
@@ -17,13 +18,10 @@ import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
+SEED = 1
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=6)
-    args = parser.parse_args()
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
     wanted = {m["name"] for m in spec["per_layer"]}
@@ -31,7 +29,7 @@ def main() -> int:
     for workload in (w["name"] for w in spec["workloads"]):
         proc = subprocess.run(
             [sys.executable, os.path.join(HERE, "run.py"), "--workload", workload,
-             "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "1"],
+             "--seed", str(SEED), "--seconds", str(spec["run_seconds"]), "--trace", "1"],
             cwd=ROOT, capture_output=True, text=True,
         )
         lines = proc.stdout.strip().splitlines()

@@ -160,7 +160,7 @@ def _serve(run_dir: str, primed: str, index: int, mix: List[Tuple[Dict[str, Any]
     shutil.copytree(primed, store)
     spans = os.path.join(run_dir, f"spans-{index}.json") if traced else None
     child = common.Child(
-        common.python_argv("launch.py", SERVER_ARGS, importtime=traced),
+        common.python_argv("launch.py", SERVER_ARGS),
         common.child_env(store, spans), os.path.join(run_dir, f"serve-{index}.log"),
     )
     try:
@@ -177,7 +177,7 @@ def _serve(run_dir: str, primed: str, index: int, mix: List[Tuple[Dict[str, Any]
     if code != 0:
         raise RuntimeError(f"server exited with {code} ({child.tail()})")
     return {"setup_s": setup_s, "records": records, "stats": stats, "peak_rss_mb": rss,
-            "start": start, "spans": spans, "log": child.log_path, "pid": child.proc.pid}
+            "start": start, "spans": spans, "pid": child.proc.pid}
 
 
 #: The simulator of a verification process (set by its initializer).
@@ -278,8 +278,8 @@ def run(seed: int, seconds: float, trace: bool, run_dir: str) -> Dict[str, Any]:
         "setup_s": common.median([s["setup_s"] for s in untraced]),
         "wall_s": common.median(blocks),
         "peak_rss_mb": common.median([s["peak_rss_mb"] for s in untraced]),
-        "eval_p50_ms": common.median([common.quantile(ms, 0.5) for ms in fresh_ms]),
-        "eval_p90_ms": common.median([common.quantile(ms, 0.9) for ms in fresh_ms]),
+        "eval_p50_ms": common.median([common.median(ms) for ms in fresh_ms]),
+        "eval_p90_ms": common.median([common.p90(ms) for ms in fresh_ms]),
         "req_per_s": common.median([rate(s) for s in untraced]),
     }
     n_fresh = sum(len(ms) for ms in fresh_ms)
@@ -294,11 +294,11 @@ def run(seed: int, seconds: float, trace: bool, run_dir: str) -> Dict[str, Any]:
         out["process_names"] = {traced["pid"]: "serve"}
         out["missing"] = missing
         out["per_layer"] = layers.layer_metrics(
-            spans, [common.scipy_stats_import_s(traced["log"])], traced["stats"], None
+            spans, common.scipy_stats_import_s(), traced["stats"], None
         )
-        traced_p50 = common.quantile(latencies_ms(traced), 0.5)
+        traced_p50 = common.median(latencies_ms(traced))
         out["per_layer"]["obs.trace_overhead_frac"] = (
-            traced_p50 / common.quantile(latencies_ms(untraced[0]), 0.5) - 1.0
+            traced_p50 / common.median(latencies_ms(untraced[0])) - 1.0
         )
         out["calls"] = layers.layer_calls(spans, traced["stats"].get("requests", 0))
         out["exercised"], out["idle"] = EXERCISED, IDLE
