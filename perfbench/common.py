@@ -184,6 +184,37 @@ def child_env(store: str, spans: Optional[str] = None) -> Dict[str, str]:
     return env
 
 
+def expected_in_processes(module: str, items: List[Any], run_dir: str,
+                          env: Dict[str, str], workers: int) -> List[Any]:
+    """``<module>.expected(items)``, split over ``workers`` verify.py processes.
+
+    Every process is waited for (or killed) before this returns or raises.
+    """
+    def path(k: int, what: str) -> str:
+        return os.path.join(run_dir, f"verify-{module}-{k}.{what}")
+
+    children: List[Child] = []
+    try:
+        for k in range(workers):
+            with open(path(k, "items.json"), "w") as fh:
+                json.dump(items[k::workers], fh)
+            children.append(Child(
+                python_argv("verify.py", [module, path(k, "items.json"), path(k, "answers.json")]),
+                env, path(k, "log"),
+            ))
+        codes = [child.stop(sig=None, timeout=170) for child in children]
+    finally:
+        for child in children:
+            child.stop(sig=signal.SIGKILL)
+    if any(codes):
+        raise RuntimeError(f"verification exit codes {codes} ({children[0].tail()})")
+    answers: List[Any] = [None] * len(items)
+    for k in range(workers):
+        with open(path(k, "answers.json")) as fh:
+            answers[k::workers] = json.load(fh)
+    return answers
+
+
 _IMPORTTIME = re.compile(r"import time:\s+\d+\s+\|\s+(\d+)\s+\|\s*(\S+)\s*$")
 
 

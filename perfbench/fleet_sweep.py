@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from multiprocessing import get_context
 from typing import Any, Dict, List, Tuple
 
 import common
@@ -45,10 +43,10 @@ def _analyzer(cell_kind: str, seed: int) -> Any:
     )
 
 
-def reference_point(item: Tuple[str, int, float]) -> str:
-    """Monolithic ``MonteCarloAnalyzer.analyze`` (verification worker)."""
-    cell_kind, seed, vdd = item
-    return common.canonical(_analyzer(cell_kind, seed).analyze(vdd).to_dict())
+def expected(keys: List[List[Any]]) -> List[str]:
+    """Monolithic ``MonteCarloAnalyzer.analyze`` per (cell, seed, vdd) (run by ``verify.py``)."""
+    return [common.canonical(_analyzer(kind, seed).analyze(vdd).to_dict())
+            for kind, seed, vdd in keys]
 
 
 def sweep_seed(seed: int, fleet: int, sweep: int) -> int:
@@ -143,8 +141,11 @@ def run(seed: int, seconds: float, trace: bool, run_dir: str) -> Dict[str, Any]:
 
     passes = fleets + ([traced] if traced is not None else [])
     keys = sorted({p["key"] for f in passes for s in f["sweeps"] for p in s["points"]})
-    with ProcessPoolExecutor(max_workers=WORKERS, mp_context=get_context("spawn")) as pool:
-        expected = dict(zip(keys, pool.map(reference_point, keys)))
+    store = os.path.join(run_dir, "store-verify")
+    os.makedirs(store)
+    answers = common.expected_in_processes("fleet_sweep", keys, run_dir,
+                                           common.child_env(store), WORKERS)
+    reference = dict(zip(keys, answers))
 
     attempted = 0
     failed = 0
@@ -153,7 +154,7 @@ def run(seed: int, seconds: float, trace: bool, run_dir: str) -> Dict[str, Any]:
         for sweep in fleet["sweeps"]:
             for point in sweep["points"]:
                 attempted += 1
-                if point["rates"] != expected[point["key"]]:
+                if point["rates"] != reference[point["key"]]:
                     failed += 1
                     failures.append(f"merged point {point['key']} differs from analyze()")
     if traced is not None:

@@ -19,8 +19,6 @@ import shutil
 import socket
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
-from multiprocessing import get_context
 from typing import Any, Dict, List, Optional, Tuple
 
 import common
@@ -180,27 +178,22 @@ def _serve(run_dir: str, primed: str, index: int, mix: List[Tuple[Dict[str, Any]
             "start": start, "spans": spans, "pid": child.proc.pid}
 
 
-#: The simulator of a verification process (set by its initializer).
-_VERIFIER_SIM: Any = None
+def expected(requests: List[Dict[str, Any]]) -> List[str]:
+    """``sequential_response`` for each request (run by ``verify.py``).
 
-
-def _init_verifier(store: str) -> None:
-    """Build the server's simulator from the primed store, as serve does."""
-    global _VERIFIER_SIM
-    os.environ["REPRO_CACHE_DIR"] = store
+    The simulator is built from the store in ``REPRO_CACHE_DIR``, as
+    serve builds it.
+    """
     import repro.core
     from repro.devices import ptm22
     from repro.mem import CellTables
+    from repro.serving import EvalRequest, sequential_response
 
     model = repro.core.train_benchmark_ann(profile="fast")
     tables = CellTables.build(technology=ptm22(), n_samples=8000)
-    _VERIFIER_SIM = repro.core.CircuitToSystemSimulator(model, tables=tables, n_trials=3)
-
-
-def _sequential(request: Dict[str, Any]) -> str:
-    from repro.serving import EvalRequest, sequential_response
-
-    return common.canonical(sequential_response(_VERIFIER_SIM, EvalRequest.from_dict(request)))
+    sim = repro.core.CircuitToSystemSimulator(model, tables=tables, n_trials=3)
+    return [common.canonical(sequential_response(sim, EvalRequest.from_dict(r)))
+            for r in requests]
 
 
 def _expected_responses(primed: str, run_dir: str,
@@ -209,10 +202,9 @@ def _expected_responses(primed: str, run_dir: str,
     store = os.path.join(run_dir, "store-verify")
     shutil.copytree(primed, store)
     distinct = list({common.canonical(r): r for r in requests}.values())
-    with ProcessPoolExecutor(max_workers=CONNECTIONS, mp_context=get_context("spawn"),
-                             initializer=_init_verifier, initargs=(store,)) as pool:
-        answers = pool.map(_sequential, distinct, chunksize=8)
-        return {common.canonical(r): a for r, a in zip(distinct, answers)}
+    answers = common.expected_in_processes("serve_warm", distinct, run_dir,
+                                           common.child_env(store), CONNECTIONS)
+    return {common.canonical(r): a for r, a in zip(distinct, answers)}
 
 
 def run(seed: int, seconds: float, trace: bool, run_dir: str) -> Dict[str, Any]:
@@ -231,8 +223,8 @@ def run(seed: int, seconds: float, trace: bool, run_dir: str) -> Dict[str, Any]:
         passes.append((traced, mixes[0]))
     issued = [mix[r["index"]][0] for s, mix in passes for r in s["records"]]
     verify_start = time.monotonic()
-    expected = _expected_responses(primed, run_dir, issued)
-    common.log(f"serve-warm: verified {len(expected)} distinct responses in "
+    reference = _expected_responses(primed, run_dir, issued)
+    common.log(f"serve-warm: verified {len(reference)} distinct responses in "
                f"{time.monotonic() - verify_start:.1f} s")
 
     attempted = 0
@@ -246,7 +238,7 @@ def run(seed: int, seconds: float, trace: bool, run_dir: str) -> Dict[str, Any]:
             if not answer.get("ok"):
                 failed += 1
                 failures.append(f"request r{record['index']} failed: {answer.get('error')}")
-            elif common.canonical(answer["result"]) != expected[common.canonical(request)]:
+            elif common.canonical(answer["result"]) != reference[common.canonical(request)]:
                 failed += 1
                 failures.append(f"request r{record['index']} differs from sequential_response")
     if traced is not None:
