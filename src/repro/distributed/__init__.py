@@ -1,14 +1,16 @@
 """Distributed shard dispatcher: multi-machine Monte-Carlo execution.
 
-This subpackage takes the single-host sharding layer
-(:mod:`repro.runtime.sharding`) across machine boundaries.  A
-:class:`~repro.distributed.dispatcher.ShardDispatcher` farms
-serializable :class:`~repro.distributed.jobs.ShardJob` descriptors to a
-fleet of :class:`~repro.distributed.worker.Worker` processes over the
-library's JSON-lines TCP protocol, and folds their tallies with the
-same exact (grouping-independent) merge the local path uses — so a
-distributed run is **bit-identical** to a monolithic one for any worker
-count, any retry history and any cache state.
+Every Monte-Carlo and importance-sampling sweep of the library is a
+list of serializable :class:`~repro.distributed.jobs.ShardJob`
+descriptors over the sharding layer (:mod:`repro.runtime.sharding`).
+:func:`~repro.distributed.jobs.run_jobs` runs a list in one process
+and its worker pool; a
+:class:`~repro.distributed.dispatcher.ShardDispatcher` farms the same
+list to a fleet of :class:`~repro.distributed.worker.Worker` processes
+over the library's JSON-lines TCP protocol.  Both fold the results with
+the same exact (grouping-independent) merge — so a distributed run is
+**bit-identical** to a monolithic one for any worker count, any retry
+history and any cache state.
 
 The pieces:
 
@@ -24,8 +26,9 @@ The pieces:
   tests and the CI degradation drill run against (compose the tiers
   with :func:`~repro.runtime.tiering.make_tiered_store`;
   ``docs/caching.md`` has the map);
-* :mod:`~repro.distributed.jobs` — wire-format shard jobs plus the
-  worker-side execution registry.  Four kinds ship built in — the whole
+* :mod:`~repro.distributed.jobs` — wire-format shard jobs, the
+  worker-side execution registry and the local runner
+  :func:`~repro.distributed.jobs.run_jobs`.  Four kinds ship built in — the whole
   circuit → memory system → NN pipeline of the paper: ``margin_tally``
   (Monte-Carlo failure margins), ``is_shard`` (importance-sampled
   points), ``fault_block`` (batched fault trials) and ``nn_fault_eval``
@@ -91,7 +94,9 @@ from repro.distributed.jobs import (
     nn_fault_eval_jobs,
     register_job_kind,
     registered_job_kinds,
+    run_jobs,
     sampler_from_spec,
+    shard_payload,
 )
 from repro.distributed.objectstore import (
     FakeObjectStoreServer,
@@ -140,7 +145,9 @@ __all__ = [
     "reduce_node",
     "register_job_kind",
     "registered_job_kinds",
+    "run_jobs",
     "run_worker",
     "sampler_from_spec",
     "serve_object_store",
+    "shard_payload",
 ]

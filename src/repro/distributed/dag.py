@@ -19,8 +19,8 @@ feeds) the same store entries as the equivalent phase-by-phase run.
 
 :func:`paper_pipeline_dag` instantiates the shape for the paper: one
 ``margin_tally`` node per (cell kind, voltage), a rate-table reduction
-mirroring :meth:`~repro.mem.tables.CellTables.build` (shared 6T read
-budget), and an ``nn_fault_eval`` node whose injectors come from
+built with :meth:`~repro.mem.tables.CellTables.build`'s own helpers
+(shared 6T read budget), and an ``nn_fault_eval`` node whose injectors come from
 :func:`~repro.fault.model.word_bit_error_rates` over the reduced
 tables.
 """
@@ -35,20 +35,17 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.devices.technology import Technology, ptm22
 from repro.errors import ConfigurationError
 from repro.obs.tracing import get_tracer
-from repro.rng import DEFAULT_SEED, resolve_seed
-from repro.runtime import DEFAULT_BLOCK_SAMPLES
-from repro.sram.area import bitcell_area
+from repro.rng import DEFAULT_SEED
 from repro.sram.bitcell import make_cell
-from repro.sram.characterize import CellCharacterization, _point_from_rates
+from repro.sram.characterize import _point_from_rates, cell_analyzer, cell_table
 from repro.sram.montecarlo import (
     MarginTally,
     MonteCarloAnalyzer,
     _rates_from_tally,
 )
-from repro.sram.read_path import BitlineModel, nominal_read_cycle
 from repro.fault.injector import WeightFaultInjector
 from repro.fault.model import word_bit_error_rates
-from repro.mem.tables import CellTables
+from repro.mem.tables import CellTables, hybrid_read_cycle
 
 from repro.distributed.dispatcher import ShardDispatcher
 from repro.distributed.jobs import (
@@ -289,8 +286,9 @@ def paper_pipeline_dag(
     per cell kind and voltage, finalized to
     :class:`~repro.sram.montecarlo.FailureRates`), ``tables`` (reduce:
     the 6T/8T :class:`~repro.mem.tables.CellTables` under the shared 6T
-    read budget, exactly :meth:`~repro.mem.tables.CellTables.build`'s
-    construction so the margin shards share cache addresses with it),
+    read budget, built by the same helpers as
+    :meth:`~repro.mem.tables.CellTables.build` so the margin shards
+    share cache addresses with it),
     and ``nn-fault`` (one ``nn_fault_eval`` point per voltage, hybrid
     word layout ``msb_in_8t``/``n_bits``, plus a clean baseline when
     ``include_baseline``).
@@ -313,27 +311,18 @@ def paper_pipeline_dag(
     tag = run_id or uuid.uuid4().hex[:8]
 
     tech = technology or ptm22()
-    # CellTables.build's construction, verbatim: both cells run against
-    # the *6T* read budget (the hybrid array clocks on the 6T cycle),
-    # which is what makes the margin-shard cache addresses here equal
-    # to the ones a local CellTables.build(...) writes.
-    cell6 = make_cell("6t", tech)
-    budget = nominal_read_cycle(
-        cell6, bitline=BitlineModel(tech, rows=rows).for_cell(cell6)
-    )
-    cells = {"6t": cell6, "8t": make_cell("8t", tech)}
-    analyzers: Dict[str, MonteCarloAnalyzer] = {}
-    for kind, cell in cells.items():
-        analyzers[kind] = MonteCarloAnalyzer(
-            cell=cell,
-            n_samples=n_samples,
-            bitline=BitlineModel(tech, rows=rows).for_cell(cell),
-            seed=resolve_seed(seed),
-            read_cycle=budget,
-            block_samples=(block_samples if block_samples is not None
-                           else DEFAULT_BLOCK_SAMPLES),
-            backend=backend,
-        ).resolved()
+    # Both cells run against the *6T* read budget (the hybrid array
+    # clocks on the 6T cycle), built as CellTables.build builds them,
+    # so the margin-shard cache addresses here equal the ones a local
+    # CellTables.build(...) writes.
+    budget = hybrid_read_cycle(tech, rows)
+    analyzers: Dict[str, MonteCarloAnalyzer] = {
+        kind: cell_analyzer(
+            tech, make_cell(kind, tech), rows, n_samples, seed,
+            read_cycle=budget, block_samples=block_samples, backend=backend,
+        )
+        for kind in ("6t", "8t")
+    }
 
     nodes: List[DagNode] = []
     margin_names: Dict[Tuple[str, float], str] = {}
@@ -367,23 +356,15 @@ def paper_pipeline_dag(
             ))
 
     def _build_tables(upstream: Mapping[str, Any]) -> CellTables:
-        tables: Dict[str, CellCharacterization] = {}
-        for kind, analyzer in analyzers.items():
-            points = tuple(
+        tables = {
+            kind: cell_table(analyzer, tech, rows, [
                 _point_from_rates(
                     analyzer, rows, vdd, upstream[margin_names[(kind, vdd)]]
                 )
                 for vdd in vdd_list
-            )
-            tables[kind] = CellCharacterization(
-                cell_kind=cells[kind].kind,
-                technology=tech.name,
-                rows=rows,
-                n_samples=n_samples,
-                seed=analyzer.seed,
-                area=bitcell_area(cells[kind]),
-                points=points,
-            )
+            ])
+            for kind, analyzer in analyzers.items()
+        }
         return CellTables(table_6t=tables["6t"], table_8t=tables["8t"])
 
     nodes.append(reduce_node(

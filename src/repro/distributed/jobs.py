@@ -9,11 +9,14 @@ spec doubles as the population's cache identity), the shard's
 address (``namespace`` + ``payload``) the result is stored under in the
 shared :class:`~repro.distributed.store.CacheStore`.
 
-The address is built with the *same* rule the single-host paths use,
-which is the load-bearing design decision of the subsystem: a
-distributed fleet, a local sharded run and a resumed run after a crash
-all read and write the very same store entries, so work is never
-repeated across execution modes.  The same property makes **speculative
+Job lists are the only way a Monte-Carlo or importance-sampling sweep
+executes.  A list runs either on a fleet
+(:meth:`~repro.distributed.dispatcher.ShardDispatcher.dispatch`) or in
+this process and its :class:`~repro.runtime.executor.SweepExecutor`
+pool (:func:`run_jobs`); both go through :func:`execute_job`, so a
+distributed fleet, a local run and a resumed run after a crash all read
+and write the very same store entries, and work is never repeated
+across execution modes.  The same property makes **speculative
 re-execution** safe: two workers racing on one job produce identical
 bytes at one address, so whichever answer arrives first is *the*
 answer.
@@ -29,9 +32,8 @@ units:
 ``is_shard``
     One importance-sampled failure estimate
     (:meth:`~repro.sram.importance_sampling.ImportanceSampler.estimate`),
-    sharing the ``is`` namespace with local
-    :meth:`~repro.sram.importance_sampling.ImportanceSampler.estimate_sweep`
-    caches.
+    the unit of
+    :meth:`~repro.sram.importance_sampling.ImportanceSampler.estimate_sweep`.
 ``fault_block``
     A block of :class:`~repro.fault.evaluate.FaultTrialSpec` requests
     through :func:`~repro.fault.evaluate.evaluate_many_under_faults`;
@@ -50,10 +52,11 @@ from __future__ import annotations
 
 import uuid
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar
 
 from repro.devices.technology import MosfetParams, Technology
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, positive_finite
 from repro.fault.evaluate import (
     FaultTrialSpec,
     evaluate_many_under_faults,
@@ -62,23 +65,26 @@ from repro.fault.evaluate import (
 from repro.fault.injector import WeightFaultInjector
 from repro.fault.model import BitErrorRates
 from repro.rng import SeedLike, derive_seed, resolve_seed
-from repro.runtime.sharding import Shard, ShardedMonteCarlo, ShardPlan
+from repro.runtime.executor import SweepExecutor
+from repro.runtime.sharding import Shard, ShardPlan
+from repro.runtime.tiering import CacheLike
 from repro.sram.bitcell import make_cell
 from repro.sram.failures import FailureType
 from repro.sram.importance_sampling import ImportanceSampler
 from repro.sram.montecarlo import MonteCarloAnalyzer, tally_shard
 from repro.sram.read_path import BitlineModel
 from repro.sram.sizing import CellSizing
-from repro.distributed.store import CacheStore
 
-#: Cache namespace of distributed margin tallies — deliberately the
-#: same namespace :class:`~repro.runtime.sharding.ShardedMonteCarlo`
-#: defaults to, so local and distributed runs share entries.
+T = TypeVar("T")
+
+#: Cache namespace of Monte-Carlo margin tallies, one entry per shard.
 MARGIN_TALLY_NAMESPACE = "mcshard"
 
-#: Namespace of importance-sampling points — the same namespace
-#: ``ImportanceSampler.estimate_sweep(..., cache=...)`` writes, so
-#: fleets resume local sweeps and vice versa.
+#: Cache-schema revision of shard tally entries; bump when the tally
+#: layout or the block/seed derivation changes.
+_SHARD_CACHE_REV = 1
+
+#: Namespace of importance-sampling points.
 IS_SHARD_NAMESPACE = "is"
 
 #: Namespace of batched fault-trial blocks.
@@ -209,7 +215,7 @@ class ShardJob:
         )
 
 
-def execute_job(job: ShardJob, store: Optional[CacheStore]) -> Tuple[Any, bool]:
+def execute_job(job: ShardJob, store: Optional[CacheLike]) -> Tuple[Any, bool]:
     """Run one job against the shared store (the worker's core loop).
 
     Returns ``(value, cached)``: a populated store address short-circuits
@@ -226,6 +232,37 @@ def execute_job(job: ShardJob, store: Optional[CacheStore]) -> Tuple[Any, bool]:
     if store is not None:
         store.put(job.namespace, job.payload, value)
     return value, False
+
+
+def _job_value(store: Optional[CacheLike], job: ShardJob) -> Any:
+    """Pool entry point: one job's value, read from or written to ``store``."""
+    value, _ = execute_job(job, store)
+    return value
+
+
+def run_jobs(
+    job_list: Sequence[ShardJob],
+    store: Optional[CacheLike] = None,
+    jobs: Optional[int] = None,
+    decode: Optional[Callable[[Any], Any]] = None,
+    merge: Optional[Callable[[Sequence[Any]], Any]] = None,
+) -> Any:
+    """Run a job list in this process and its worker pool.
+
+    The local counterpart of
+    :meth:`~repro.distributed.dispatcher.ShardDispatcher.dispatch`, with
+    the same contract: the values come back in job order, each passed
+    through ``decode``, and are folded by ``merge`` (without ``merge``,
+    the decoded list is the result).  Every job runs through
+    :func:`execute_job` on a :class:`~repro.runtime.executor.SweepExecutor`
+    of ``jobs`` workers, so it reads its own store address first and
+    writes its value the moment it completes: a run that dies keeps
+    every job it finished, and a rerun computes only the rest.
+    """
+    values = SweepExecutor(jobs).map(partial(_job_value, store), job_list)
+    if decode is not None:
+        values = [decode(value) for value in values]
+    return merge(values) if merge is not None else values
 
 
 def _point_shard(index: int) -> Dict[str, int]:
@@ -248,14 +285,6 @@ def _require_fields(kind: str, spec: Mapping[str, Any], fields: Sequence[str]) -
         )
 
 
-def _positive_number(kind: str, name: str, value: Any) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or value <= 0:
-        raise ConfigurationError(
-            f"{kind} spec {name} must be a positive number, got {value!r}"
-        )
-    return float(value)
-
-
 def _strict_int(kind: str, name: str, value: Any, minimum: int) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
         raise ConfigurationError(
@@ -267,12 +296,14 @@ def _strict_int(kind: str, name: str, value: Any, minimum: int) -> int:
 # ----------------------------------------------------------------------
 # The "margin_tally" kind: Monte-Carlo failure-margin shards
 # ----------------------------------------------------------------------
-def analyzer_from_spec(spec: Dict[str, Any]) -> MonteCarloAnalyzer:
-    """Rebuild a resolved analyzer from its ``cache_payload`` fields.
+def _from_spec(spec: Dict[str, Any], what: str, build: Callable[..., T]) -> T:
+    """Rebuild the technology, cell and bitline a spec names, then ``build``.
 
-    Inverse of :meth:`~repro.sram.montecarlo.MonteCarloAnalyzer.cache_payload`
-    for everything that defines the population (the ``vdd`` entry rides
-    along untouched; ``rev`` is cache bookkeeping).  Raises
+    ``build(cell, bitline, backend)`` receives the cell, the bitline
+    (``None`` when the spec has none) and the pinned margin backend.
+    Canonical margin backends never appear in a spec (they are
+    bit-identical, so the worker's own default applies); a nonzero-rev
+    backend travels with the population identity.  Raises
     :class:`~repro.errors.ConfigurationError` on a spec this library
     version cannot reproduce.
     """
@@ -293,32 +324,58 @@ def analyzer_from_spec(spec: Dict[str, Any]) -> MonteCarloAnalyzer:
                 rows=int(spec["bitline"]["rows"]),
                 port_width=spec["bitline"]["port_width"],
             )
-        # Canonical margin backends never appear in the spec (they are
-        # bit-identical, so the worker's own default applies); a
-        # nonzero-rev backend travels with the population identity.
         kernel = spec.get("margin_kernel") or {}
-        return MonteCarloAnalyzer(
+        return build(cell, bitline, kernel.get("backend"))
+    except (KeyError, TypeError) as exc:
+        raise ConfigurationError(
+            f"{what} spec is not reconstructible: {exc!r}"
+        ) from None
+
+
+def analyzer_from_spec(spec: Dict[str, Any]) -> MonteCarloAnalyzer:
+    """Rebuild a resolved analyzer from its ``cache_payload`` fields.
+
+    Inverse of :meth:`~repro.sram.montecarlo.MonteCarloAnalyzer.cache_payload`
+    for everything that defines the population (the ``vdd`` entry rides
+    along untouched; ``rev`` is cache bookkeeping).
+    """
+    return _from_spec(
+        spec,
+        "margin-tally",
+        lambda cell, bitline, backend: MonteCarloAnalyzer(
             cell=cell,
             n_samples=int(spec["n_samples"]),
             bitline=bitline,
             seed=int(spec["seed"]),
             read_cycle=float(spec["read_cycle"]),
             block_samples=int(spec["block_samples"]),
-            backend=kernel.get("backend"),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ConfigurationError(
-            f"margin-tally spec is not reconstructible: {exc!r}"
-        ) from None
+            backend=backend,
+        ),
+    )
 
 
 def _run_margin_tally(job: ShardJob) -> Dict[str, Any]:
     """Worker compute function: tally one shard, return its JSON form."""
     analyzer = analyzer_from_spec(job.spec)
-    vdd = job.spec.get("vdd")
-    if not isinstance(vdd, (int, float)) or isinstance(vdd, bool) or vdd <= 0:
-        raise ConfigurationError(f"spec vdd must be a positive number, got {vdd!r}")
-    return tally_shard(analyzer, float(vdd), job.to_shard()).to_dict()
+    vdd = positive_finite("margin_tally spec vdd", job.spec.get("vdd"))
+    return tally_shard(analyzer, vdd, job.to_shard()).to_dict()
+
+
+def shard_payload(payload: Dict[str, Any], shard: Shard, block_samples: int) -> Dict[str, Any]:
+    """Store address of one shard of the population ``payload`` names.
+
+    The population's address plus the shard's block range and the block
+    geometry that defines its streams.  Deliberately independent of the
+    plan's shard count: plans that cut the same block range into a
+    shard share the entry, and an interrupted run resumes under any
+    layout.
+    """
+    return {
+        **payload,
+        "shard": shard.descriptor(),
+        "block_samples": block_samples,
+        "shard_rev": _SHARD_CACHE_REV,
+    }
 
 
 register_job_kind("margin_tally", _run_margin_tally)
@@ -328,23 +385,19 @@ def margin_tally_jobs(
     analyzer: MonteCarloAnalyzer, vdd: float, plan: ShardPlan,
     run_id: Optional[str] = None,
 ) -> List[ShardJob]:
-    """The job list of one distributed ``analyze_sharded`` voltage point.
+    """The job list of one Monte-Carlo voltage point, one job per shard.
 
     ``analyzer`` must be :meth:`~repro.sram.montecarlo.MonteCarloAnalyzer.resolved`
     (integer seed, concrete read cycle) so the spec round-trips exactly.
     Jobs come back in shard order — the order the dispatcher's streaming
-    merge consumes — and each job's store address equals the one a local
-    :meth:`~repro.sram.montecarlo.MonteCarloAnalyzer.analyze_sharded`
-    run would use for the same shard.
+    merge consumes — and each job's store address is its shard's
+    :func:`shard_payload`.
 
     ``run_id`` tags the job ids (``mt-<run_id>-<shard>``); the default
     is a fresh random tag.  DAG runs pass deterministic node-scoped
     tags so concurrent nodes get readable, non-clashing ids — the tag
     never reaches the store address, which is content-only.
     """
-    engine: ShardedMonteCarlo[Any] = ShardedMonteCarlo(
-        plan, namespace=MARGIN_TALLY_NAMESPACE
-    )
     spec = analyzer.cache_payload(vdd)
     run_id = run_id or uuid.uuid4().hex[:12]
     return [
@@ -356,7 +409,7 @@ def margin_tally_jobs(
             shard=shard.descriptor(),
             block_samples=plan.block_samples,
             namespace=MARGIN_TALLY_NAMESPACE,
-            payload=engine.shard_payload(spec, shard),
+            payload=shard_payload(spec, shard, plan.block_samples),
         )
         for shard in plan.shards()
     ]
@@ -373,8 +426,12 @@ _IS_SHARD_FIELDS = (
 
 def _validate_is_shard_spec(spec: Dict[str, Any]) -> None:
     _require_fields("is_shard", spec, _IS_SHARD_FIELDS)
-    _positive_number("is_shard", "vdd", spec["vdd"])
-    _positive_number("is_shard", "max_shift_sigma", spec["max_shift_sigma"])
+    if not isinstance(spec["bitline"], Mapping):
+        raise ConfigurationError(
+            f"is_shard spec bitline must be a mapping, got {spec['bitline']!r}"
+        )
+    positive_finite("is_shard spec vdd", spec["vdd"])
+    positive_finite("is_shard spec max_shift_sigma", spec["max_shift_sigma"])
     _strict_int("is_shard", "n_samples", spec["n_samples"], 100)
     _strict_int("is_shard", "seed", spec["seed"], 0)
     try:
@@ -393,40 +450,24 @@ def sampler_from_spec(spec: Dict[str, Any]) -> ImportanceSampler:
     for everything that defines the estimator (the per-point fields —
     ``vdd``, ``n_samples``, ``seed``, ... — ride along untouched).
     """
-    try:
-        tech_fields = dict(spec["technology"])
-        tech = Technology(
-            **{
-                **tech_fields,
-                "nmos": MosfetParams(**tech_fields["nmos"]),
-                "pmos": MosfetParams(**tech_fields["pmos"]),
-            }
-        )
-        cell = make_cell(spec["kind"], tech, CellSizing(**spec["sizing"]))
-        bitline = BitlineModel(
-            tech,
-            rows=int(spec["bitline"]["rows"]),
-            port_width=spec["bitline"]["port_width"],
-        )
-        kernel = spec.get("margin_kernel") or {}
-        return ImportanceSampler(
+    return _from_spec(
+        spec,
+        "is-shard",
+        lambda cell, bitline, backend: ImportanceSampler(
             cell,
             bitline=bitline,
             read_cycle=float(spec["read_cycle"]),
-            backend=kernel.get("backend"),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ConfigurationError(
-            f"is-shard spec is not reconstructible: {exc!r}"
-        ) from None
+            backend=backend,
+        ),
+    )
 
 
 def _run_is_shard(job: ShardJob) -> Dict[str, Any]:
     """Worker compute function: one importance-sampled voltage point.
 
-    The per-point seed derivation replicates
-    ``ImportanceSampler.estimate_sweep`` exactly, so a fleet writes the
-    very bytes a local sweep would cache for the same point.
+    The one place the per-point seed is derived: from the sweep's base
+    seed and the voltage, so a point's value depends on neither the
+    sweep it came in nor where it ran.
     """
     spec = job.spec
     sampler = sampler_from_spec(spec)
@@ -455,8 +496,8 @@ def is_shard_jobs(
 ) -> List[ShardJob]:
     """One ``is_shard`` job per voltage point of an IS sweep.
 
-    The spec *is* the point's cache payload, so the store address
-    matches a local ``estimate_sweep(..., cache=...)`` run bit for bit.
+    The spec *is* the point's cache payload
+    (:meth:`~repro.sram.importance_sampling.ImportanceSampler.point_payload`).
     ``run_id`` tags the job ids (see :func:`margin_tally_jobs`).
     """
     if not vdds:
@@ -677,7 +718,7 @@ def _validate_nn_fault_eval_spec(spec: Dict[str, Any]) -> None:
         raise ConfigurationError(
             f"nn_fault_eval spec seed must be an int or None, got {seed!r}"
         )
-    _positive_number("nn_fault_eval", "vdd", spec["vdd"])
+    positive_finite("nn_fault_eval spec vdd", spec["vdd"])
     if not isinstance(spec["label"], str):
         raise ConfigurationError(
             f"nn_fault_eval spec label must be a string, got {spec['label']!r}"

@@ -22,6 +22,18 @@ from repro.sram.characterize import (
 from repro.sram.read_path import BitlineModel, nominal_read_cycle
 
 
+def hybrid_read_cycle(technology: Technology, rows: int) -> float:
+    """The hybrid array's read budget: the 6T cell's nominal read cycle.
+
+    Both cell types of the hybrid array clock on it, so it is the
+    ``read_cycle`` of both characterization tables.
+    """
+    cell6 = make_cell("6t", technology)
+    return nominal_read_cycle(
+        cell6, bitline=BitlineModel(technology, rows=rows).for_cell(cell6)
+    )
+
+
 @dataclass(frozen=True)
 class CellTables:
     """The 6T and 8T characterization tables used by all memory math."""
@@ -48,9 +60,9 @@ class CellTables:
         """Characterize both cells (cached) with the shared 6T budget.
 
         ``jobs`` fans the Monte-Carlo work of each table across a
-        worker pool, and ``shards``/``max_shard_samples`` stream each
-        voltage point's population through the sharded Monte-Carlo path
-        (bounded per-shard memory, per-shard cache entries); the tables
+        worker pool, and ``shards``/``max_shard_samples`` split each
+        voltage point's population into shard jobs (bounded per-shard
+        memory, per-shard cache entries); the tables
         are bit-identical for any worker or shard count.
         ``block_samples`` sets the sharding granularity and is part of
         the population definition (different block sizes are different,
@@ -59,13 +71,10 @@ class CellTables:
         like the other execution knobs it cannot change a number.
         """
         tech = technology or ptm22()
-        cell6 = make_cell("6t", tech)
-        budget = nominal_read_cycle(
-            cell6, bitline=BitlineModel(tech, rows=rows).for_cell(cell6)
-        )
         common = dict(
             technology=tech, vdd_grid=vdd_grid, rows=rows,
-            n_samples=n_samples, seed=seed, read_cycle=budget,
+            n_samples=n_samples, seed=seed,
+            read_cycle=hybrid_read_cycle(tech, rows),
             use_cache=use_cache, cache_dir=cache_dir, jobs=jobs,
             shards=shards, max_shard_samples=max_shard_samples,
             block_samples=block_samples, backend=backend,

@@ -13,12 +13,12 @@ provides the two pieces of infrastructure those sweeps share:
   store (key = SHA-256 of everything that affects the numbers, plus a
   schema version) with atomic writes, so concurrent sweeps can share a
   cache directory and a version bump invalidates stale results.
-* :class:`~repro.runtime.sharding.ShardPlan` /
-  :class:`~repro.runtime.sharding.ShardedMonteCarlo` — deterministic
-  block-granular sharding of one Monte-Carlo population across the
-  executor, with per-shard cache entries and an exact (grouping
-  independent) tally merge, so paper-scale populations stream with
-  bounded memory and re-sharding never changes a bit of the result.
+* :class:`~repro.runtime.sharding.ShardPlan` — deterministic
+  block-granular sharding of one Monte-Carlo population; each shard is
+  one job of :mod:`repro.distributed.jobs` with its own cache entry,
+  and an exact (grouping independent) tally merge means paper-scale
+  populations stream with bounded memory and re-sharding never changes
+  a bit of the result.
 * :class:`~repro.runtime.singleflight.SingleFlight` — keyed in-flight
   futures for async request coalescing: the cache deduplicates
   *completed* work, SingleFlight deduplicates work still in flight
@@ -49,7 +49,6 @@ from repro.runtime.executor import SweepExecutor, resolve_jobs
 from repro.runtime.sharding import (
     DEFAULT_BLOCK_SAMPLES,
     Shard,
-    ShardedMonteCarlo,
     ShardPlan,
 )
 from repro.runtime.singleflight import SingleFlight
@@ -73,7 +72,6 @@ __all__ = [
     "ResultCache",
     "Shard",
     "ShardPlan",
-    "ShardedMonteCarlo",
     "SingleFlight",
     "SweepExecutor",
     "TierStats",

@@ -122,39 +122,6 @@ class SweepExecutor:
                 results.extend(future.result())
         return results
 
-    def map_chunked(
-        self, fn: Callable[[List[T]], List[R]], items: Iterable[T]
-    ) -> List[R]:
-        """Like :meth:`map`, but ``fn`` receives a whole chunk at once.
-
-        Batch workers amortize per-task setup (pickling the bitcell,
-        resolving the read-cycle budget, RNG construction) across every
-        point of the chunk — the flattened output still matches
-        ``fn(items)`` run serially, element for element.
-        """
-        points = list(items)
-        if not points:
-            return []
-        if self.jobs == 1 or len(points) == 1:
-            return fn(points)
-
-        chunks = _partition(points, self.jobs * self.chunks_per_worker)
-        ctx = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(
-            max_workers=min(self.jobs, len(chunks)), mp_context=ctx
-        ) as pool:
-            futures = [pool.submit(fn, chunk) for chunk in chunks]
-            results: List[R] = []
-            for future, chunk in zip(futures, chunks):
-                chunk_result = future.result()
-                if len(chunk_result) != len(chunk):
-                    raise RuntimeError(
-                        "chunk worker returned "
-                        f"{len(chunk_result)} results for {len(chunk)} points"
-                    )
-                results.extend(chunk_result)
-        return results
-
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SweepExecutor(jobs={self.jobs})"

@@ -1,14 +1,14 @@
-"""Deterministic sharded Monte Carlo over the sweep runtime.
+"""Deterministic block/shard decomposition of a Monte-Carlo population.
 
 A Monte-Carlo population is often too large for one process (paper-scale
 64k-cell arrays, larger-than-memory sample counts) and too expensive to
 recompute when only part of it changed.  This module splits a population
-into *shards* that stream independently through the
-:class:`~repro.runtime.executor.SweepExecutor` worker pool and are
-cached per shard in the content-addressed
-:class:`~repro.runtime.cache.ResultCache` — while keeping the library's
-headline guarantee: the merged result is **bit-identical for every shard
-count**, including the single-shard (monolithic) run.
+into *shards*; each shard becomes one ``margin_tally`` job
+(:func:`repro.distributed.jobs.margin_tally_jobs`) that runs on the local
+worker pool or a fleet and is cached under its own store address — while
+keeping the library's headline guarantee: the merged result is
+**bit-identical for every shard count**, including the single-shard
+(monolithic) run.
 
 The guarantee rests on two design rules:
 
@@ -39,21 +39,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from typing import Any, Callable, Dict, Generic, List, Optional, Sequence, Tuple, TypeVar
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.rng import derive_seed
-from repro.runtime.executor import SweepExecutor
-from repro.runtime.tiering import CacheLike
-
-T = TypeVar("T")
 
 __all__ = [
     "DEFAULT_BLOCK_SAMPLES",
     "Shard",
     "ShardPlan",
-    "ShardedMonteCarlo",
 ]
 
 #: Samples per block — the granularity of shard boundaries and the unit
@@ -70,10 +64,6 @@ DEFAULT_BLOCK_SAMPLES = 32768
 #: Seed-derivation tag that keeps block streams disjoint from every other
 #: ``derive_seed`` use in the library (voltage points, fault trials, …).
 _BLOCK_STREAM_TAG = 0x5A4D
-
-#: Cache-schema revision of shard tally entries; bump when the tally
-#: layout or the block/seed derivation changes.
-_SHARD_CACHE_REV = 1
 
 
 @dataclass(frozen=True)
@@ -275,122 +265,3 @@ class ShardPlan:
     def max_samples_per_shard(self) -> int:
         """Largest shard size of this plan — the working-set bound."""
         return max(s.n_samples for s in self.shards())
-
-
-def _compute_and_store(
-    compute: Callable[[Shard], T],
-    encode: Callable[[T], Any],
-    cache: CacheLike,
-    namespace: str,
-    item: Tuple[Shard, Dict[str, Any]],
-) -> T:
-    """Worker entry point: compute one shard and persist it immediately."""
-    shard, payload = item
-    tally = compute(shard)
-    cache.put(namespace, payload, encode(tally))
-    return tally
-
-
-class ShardedMonteCarlo(Generic[T]):
-    """Stream a shard plan through the executor, caching per-shard tallies.
-
-    The engine is tally-agnostic: callers supply the shard worker, the
-    cache codec and the merge.  The contract they must honour is the one
-    described in the module docstring — ``compute`` derives all
-    randomness from the shard's block seeds, and ``merge`` is exact
-    (grouping-independent) over block-level tallies.
-
-    Parameters
-    ----------
-    plan:
-        The :class:`ShardPlan` to execute.
-    executor:
-        Worker pool for shard fan-out; ``None`` runs shards serially,
-        which bounds peak memory to one shard's working set.
-    cache:
-        Optional cache — a :class:`~repro.runtime.cache.ResultCache`,
-        any :class:`~repro.runtime.tiering.CacheStore` tier, or a full
-        :class:`~repro.runtime.tiering.TieredStore` (anything
-        satisfying :class:`~repro.runtime.tiering.CacheLike`); each
-        shard is cached under its own content address, so interrupted
-        or re-sharded runs recompute only the shards they are missing.
-    namespace:
-        Cache namespace of the shard tallies (``repro-sram cache clear
-        --namespace mcshard`` reaps them).
-    """
-
-    def __init__(
-        self,
-        plan: ShardPlan,
-        executor: Optional[SweepExecutor] = None,
-        cache: Optional[CacheLike] = None,
-        namespace: str = "mcshard",
-    ):
-        self.plan = plan
-        self.executor = executor
-        self.cache = cache
-        self.namespace = namespace
-
-    def shard_payload(self, payload: Dict[str, Any], shard: Shard) -> Dict[str, Any]:
-        """Cache address of one shard: the population key plus the shard
-        descriptor and the block geometry that defines its streams."""
-        return {
-            **payload,
-            "shard": shard.descriptor(),
-            "block_samples": self.plan.block_samples,
-            "shard_rev": _SHARD_CACHE_REV,
-        }
-
-    def run(
-        self,
-        compute: Callable[[Shard], T],
-        payload: Dict[str, Any],
-        encode: Callable[[T], Any],
-        decode: Callable[[Any], T],
-        merge: Callable[[Sequence[T]], T],
-    ) -> T:
-        """Execute the plan and return the merged tally.
-
-        ``compute`` must be picklable (a module-level function or a
-        :func:`functools.partial` of one) and deterministic given the
-        shard; under those conditions the result is bit-identical for
-        every shard count, worker count and cache state.
-        """
-        shards = self.plan.shards()
-        tallies: Dict[int, T] = {}
-        missing: List[Shard] = []
-        for shard in shards:
-            hit = None
-            if self.cache is not None:
-                hit = self.cache.get(self.namespace, self.shard_payload(payload, shard))
-            if hit is not None:
-                tallies[shard.index] = decode(hit)
-            else:
-                missing.append(shard)
-
-        if missing:
-            executor = self.executor or SweepExecutor(1)
-            if self.cache is None:
-                computed = executor.map(compute, missing)
-            else:
-                # Each worker stores its own tally the moment it
-                # completes (the cache's atomic writes make concurrent
-                # puts safe), so an interrupted run loses only the
-                # shards that were still in flight — the resume
-                # guarantee of docs/runtime.md.
-                items = [
-                    (shard, self.shard_payload(payload, shard)) for shard in missing
-                ]
-                computed = executor.map(
-                    partial(
-                        _compute_and_store, compute, encode,
-                        self.cache, self.namespace,
-                    ),
-                    items,
-                )
-            for shard, tally in zip(missing, computed):
-                tallies[shard.index] = tally
-
-        # Merge in shard order; exactness of the merge (integer tallies +
-        # fsum over block sums) makes the order a presentation detail.
-        return merge([tallies[i] for i in range(len(shards))])

@@ -65,12 +65,12 @@ DEFAULT_LRU_BYTES = 64 << 20
 
 
 class CacheLike(Protocol):
-    """Structural type of anything the sharded runtime can cache into.
+    """Structural type of anything a sweep can cache into.
 
     Both :class:`~repro.runtime.cache.ResultCache` and every
     :class:`CacheStore` satisfy it; callers that only ``get``/``put``
-    (:class:`~repro.runtime.sharding.ShardedMonteCarlo`, the serving
-    batcher) accept either.
+    (:func:`~repro.distributed.jobs.run_jobs`, the serving batcher)
+    accept either.
     """
 
     def get(self, namespace: str, payload: Dict[str, Any]) -> Optional[Any]: ...

@@ -11,12 +11,12 @@ instantly after the first run.
 
 Caching happens at up to three granularities: the whole table
 (namespace ``cell``), each voltage point (namespace ``cellpoint``),
-and — on the sharded path — each Monte-Carlo shard (namespace
+and — when sharding splits a point — each Monte-Carlo shard (namespace
 ``mcshard``).  Per-point entries survive changes to the *grid* —
 characterizing a superset grid reuses every already-computed point —
-and the independent points fan out across a
-:class:`~repro.runtime.SweepExecutor` worker pool when ``jobs`` asks
-for parallelism (or, with ``shards``, each point's shards do).
+and the Monte Carlo of the missing points runs as one job list across
+a :class:`~repro.runtime.SweepExecutor` worker pool when ``jobs`` asks
+for parallelism.
 
 The cached table interpolates between grid points: probabilities in
 log-space (they span decades), energies/powers in linear space.
@@ -26,19 +26,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.rng import DEFAULT_SEED, resolve_seed
-from repro.runtime import (
-    DEFAULT_BLOCK_SAMPLES,
-    ResultCache,
-    SweepExecutor,
-    default_cache_dir,
-)
+from repro.runtime import DEFAULT_BLOCK_SAMPLES, ResultCache, default_cache_dir
 from repro.sram.area import bitcell_area
 from repro.sram.bitcell import BitcellBase, make_cell
 from repro.sram.montecarlo import MonteCarloAnalyzer
@@ -50,6 +44,8 @@ __all__ = [
     "DEFAULT_VDD_GRID",
     "CellCharacterization",
     "CharacterizationPoint",
+    "cell_analyzer",
+    "cell_table",
     "characterize_cell",
     "default_cache_dir",
 ]
@@ -144,11 +140,54 @@ class CellCharacterization:
         return cls.from_payload(json.loads(text))
 
 
-def _characterize_point(
-    analyzer: MonteCarloAnalyzer, rows: int, vdd: float
-) -> CharacterizationPoint:
-    """Worker entry point: Monte-Carlo + power models at one voltage."""
-    return _point_from_rates(analyzer, rows, vdd, analyzer.analyze(vdd))
+def cell_analyzer(
+    technology: Technology,
+    cell: BitcellBase,
+    rows: int,
+    n_samples: int,
+    seed: int,
+    read_cycle: Optional[float] = None,
+    block_samples: Optional[int] = None,
+    backend: Optional[str] = None,
+) -> MonteCarloAnalyzer:
+    """The resolved Monte-Carlo analyzer that characterizes ``cell``.
+
+    The bitline is a ``rows``-row column sized for the cell's port, and
+    ``read_cycle`` (the hybrid array passes the 6T budget, see
+    :func:`repro.mem.tables.hybrid_read_cycle`) defaults to the cell's
+    own nominal read cycle.  Everything that builds characterization
+    tables uses this one construction, so their Monte-Carlo entries
+    share store addresses.
+    """
+    bitline = BitlineModel(technology, rows=rows).for_cell(cell)
+    budget = read_cycle if read_cycle is not None else nominal_read_cycle(
+        cell, bitline=bitline
+    )
+    return MonteCarloAnalyzer(
+        cell=cell, n_samples=n_samples, bitline=bitline,
+        seed=resolve_seed(seed), read_cycle=budget,
+        block_samples=(block_samples if block_samples is not None
+                       else DEFAULT_BLOCK_SAMPLES),
+        backend=backend,
+    ).resolved()
+
+
+def cell_table(
+    analyzer: MonteCarloAnalyzer,
+    technology: Technology,
+    rows: int,
+    points: Sequence[CharacterizationPoint],
+) -> CellCharacterization:
+    """Assemble the characterization table of ``analyzer``'s cell."""
+    return CellCharacterization(
+        cell_kind=analyzer.cell.kind,
+        technology=technology.name,
+        rows=rows,
+        n_samples=analyzer.n_samples,
+        seed=analyzer.seed,
+        area=bitcell_area(analyzer.cell),
+        points=tuple(points),
+    )
 
 
 def _point_from_rates(
@@ -208,10 +247,9 @@ def characterize_cell(
     ``jobs`` fans uncached work across a worker pool and ``cache``
     overrides the default shared result store.  When ``shards`` /
     ``max_shard_samples`` request sub-array sharding, each voltage
-    point's Monte-Carlo population streams through the sharded path
-    (bounded per-shard memory, per-shard cache entries) instead of
-    fanning whole points; the table is bit-identical for every
-    (jobs, cache, shards) combination.  ``block_samples`` sets the
+    point's Monte-Carlo population runs as several shard jobs (bounded
+    per-shard memory, per-shard cache entries); the table is
+    bit-identical for every (jobs, cache, shards) combination.  ``block_samples`` sets the
     sharding granularity — unlike the execution knobs it is part of the
     population's statistical definition (it selects which child seed
     each sample draws from), so tables with different block sizes are
@@ -229,17 +267,10 @@ def characterize_cell(
         cache_dir=cache_dir, enabled=use_cache
     )
 
-    bitline = BitlineModel(tech, rows=rows).for_cell(the_cell)
-    budget = read_cycle if read_cycle is not None else nominal_read_cycle(
-        the_cell, bitline=bitline
+    analyzer = cell_analyzer(
+        tech, the_cell, rows, n_samples, seed,
+        read_cycle=read_cycle, block_samples=block_samples, backend=backend,
     )
-    analyzer = MonteCarloAnalyzer(
-        cell=the_cell, n_samples=n_samples, bitline=bitline,
-        seed=resolve_seed(seed), read_cycle=budget,
-        block_samples=(block_samples if block_samples is not None
-                       else DEFAULT_BLOCK_SAMPLES),
-        backend=backend,
-    ).resolved()
 
     from repro.kernels import payload_fields
 
@@ -252,7 +283,7 @@ def characterize_cell(
         "seed": analyzer.seed,
         "block_samples": analyzer.block_samples,
         "vdds": [float(v) for v in vdd_grid],
-        "read_cycle": budget,
+        "read_cycle": analyzer.read_cycle,
         "rev": 5,  # rev 5: block-decomposed sample streams (sharding)
     }
     # Empty for canonical (bit-identical) margin backends — see
@@ -262,9 +293,9 @@ def characterize_cell(
     if hit is not None:
         return CellCharacterization.from_payload(hit)
 
-    # Serve individually-cached points, then fan the misses across the
-    # worker pool; per-point entries make grid changes cheap (a superset
-    # grid recomputes only the new voltages).
+    # Serve individually-cached points, then run the Monte Carlo of the
+    # misses as one job list; per-point entries make grid changes cheap
+    # (a superset grid recomputes only the new voltages).
     points: Dict[int, CharacterizationPoint] = {}
     missing: List[Tuple[int, float]] = []
     for i, vdd in enumerate(vdd_grid):
@@ -274,46 +305,12 @@ def characterize_cell(
         else:
             missing.append((i, float(vdd)))
 
-    if missing:
-        # Honour a sharding request only when the resolved plan actually
-        # splits the population; a single-shard plan (population fits one
-        # block) would serialize the points for nothing — and the results
-        # are bit-identical either way, so the faster path is safe.
-        sharding_requested = shards is not None or max_shard_samples is not None
-        use_sharded = sharding_requested and analyzer.shard_plan(
-            shards=shards, max_shard_samples=max_shard_samples
-        ).n_shards > 1
-        if use_sharded:
-            # Sharded path: points run in order, each point's shards
-            # fanned across the pool and cached individually — per-shard
-            # memory stays bounded even for paper-scale populations.
-            computed = [
-                _point_from_rates(
-                    analyzer, rows, v,
-                    analyzer.analyze_sharded(
-                        v, shards=shards, max_shard_samples=max_shard_samples,
-                        jobs=jobs, cache=store,
-                    ),
-                )
-                for _, v in missing
-            ]
-        else:
-            computed = SweepExecutor(jobs).map(
-                partial(_characterize_point, analyzer, rows),
-                [v for _, v in missing],
-            )
-        for (i, vdd), point in zip(missing, computed):
-            points[i] = point
-            store.put("cellpoint", _point_payload(analyzer, rows, vdd), asdict(point))
+    plan = analyzer.shard_plan(shards=shards, max_shard_samples=max_shard_samples)
+    rates = analyzer._sweep_rates([v for _, v in missing], plan, store, jobs)
+    for (i, vdd), point_rates in zip(missing, rates):
+        points[i] = _point_from_rates(analyzer, rows, vdd, point_rates)
+        store.put("cellpoint", _point_payload(analyzer, rows, vdd), asdict(points[i]))
 
-    table = CellCharacterization(
-        cell_kind=the_cell.kind,
-        technology=tech.name,
-        rows=rows,
-        n_samples=n_samples,
-        seed=analyzer.seed,
-        area=bitcell_area(the_cell),
-        points=tuple(points[i] for i in range(len(points))),
-    )
+    table = cell_table(analyzer, tech, rows, [points[i] for i in range(len(points))])
     store.put("cell", table_payload, table.to_payload())
     return table

@@ -23,13 +23,13 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import partial
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.rng import SeedLike, derive_seed, ensure_rng, resolve_seed
-from repro.runtime import ResultCache, SweepExecutor
+from repro.rng import SeedLike, ensure_rng
+from repro.runtime import CacheLike
 from repro.sram.bitcell import BitcellBase
 from repro.sram.failures import FailureType, compute_failure_margins
 from repro.sram.read_path import BitlineModel, nominal_read_cycle
@@ -254,74 +254,39 @@ class ImportanceSampler:
         seed: SeedLike = None,
         max_shift_sigma: float = 12.0,
         jobs: Optional[int] = None,
-        cache: Optional[ResultCache] = None,
+        cache: Optional[CacheLike] = None,
         dispatcher: Optional[Any] = None,
     ) -> List[ImportanceSamplingResult]:
         """Importance-sampled estimates across a voltage sweep.
 
-        Each point derives its own seed from the (once-resolved) base
-        seed and the voltage, so the sweep is bit-identical for any
-        ``jobs`` count; cached points skip recomputation entirely.
+        The sweep is one ``is_shard`` job per voltage
+        (:func:`~repro.distributed.jobs.is_shard_jobs`).  Each point
+        derives its own seed from the (once-resolved) base seed and the
+        voltage, so the sweep is bit-identical for any ``jobs`` count.
+        The jobs run on a ``jobs``-worker pool
+        (:func:`~repro.distributed.jobs.run_jobs`): cached points skip
+        recomputation entirely, and each computed point is cached (the
+        ``is`` namespace) as soon as it completes.
 
         ``dispatcher`` (a started
         :class:`~repro.distributed.dispatcher.ShardDispatcher`) farms
-        the points to a worker fleet as ``is_shard`` jobs instead of
-        computing locally — an execution knob like ``jobs``: the
-        numbers cannot change, and the fleet reads/writes the same
-        ``is`` store addresses a cached local sweep uses.
+        the same jobs to a worker fleet instead — an execution knob like
+        ``jobs``: the numbers cannot change, and the fleet reads/writes
+        the same ``is`` store addresses a cached local sweep uses.
         """
-        if dispatcher is not None:
-            from repro.distributed.jobs import is_shard_jobs
+        from repro.distributed.jobs import is_shard_jobs, run_jobs
 
-            job_list = is_shard_jobs(
+        if len(vdds) == 0:
+            return []
+        run: Callable[..., Any] = (
+            dispatcher.dispatch if dispatcher is not None
+            else partial(run_jobs, store=cache, jobs=jobs)
+        )
+        return run(
+            is_shard_jobs(
                 self, [float(v) for v in vdds],
                 failure_type=failure_type, n_samples=n_samples,
                 seed=seed, max_shift_sigma=max_shift_sigma,
-            )
-            values = dispatcher.dispatch(job_list)
-            return [ImportanceSamplingResult.from_dict(v) for v in values]
-
-        base_seed = resolve_seed(seed)
-        results: Dict[int, ImportanceSamplingResult] = {}
-        missing: List[Tuple[int, float]] = []
-        for i, vdd in enumerate(vdds):
-            hit = None
-            if cache is not None:
-                hit = cache.get("is", self.point_payload(
-                    vdd, failure_type, n_samples, base_seed, max_shift_sigma
-                ))
-            if hit is not None:
-                results[i] = ImportanceSamplingResult.from_dict(hit)
-            else:
-                missing.append((i, float(vdd)))
-
-        if missing:
-            computed = SweepExecutor(jobs).map(
-                partial(_estimate_point, self, failure_type, n_samples,
-                        base_seed, max_shift_sigma),
-                [v for _, v in missing],
-            )
-            for (i, vdd), result in zip(missing, computed):
-                results[i] = result
-                if cache is not None:
-                    cache.put(
-                        "is",
-                        self.point_payload(vdd, failure_type, n_samples,
-                                           base_seed, max_shift_sigma),
-                        result.to_dict(),
-                    )
-        return [results[i] for i in range(len(results))]
-
-
-def _estimate_point(
-    sampler: "ImportanceSampler", failure_type: FailureType, n_samples: int,
-    base_seed: int, max_shift_sigma: float, vdd: float,
-) -> ImportanceSamplingResult:
-    """Worker entry point: one importance-sampled voltage point."""
-    return sampler.estimate(
-        vdd,
-        failure_type=failure_type,
-        n_samples=n_samples,
-        seed=derive_seed(base_seed, int(round(vdd * 1e6))),
-        max_shift_sigma=max_shift_sigma,
-    )
+            ),
+            decode=ImportanceSamplingResult.from_dict,
+        )

@@ -34,24 +34,17 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-if TYPE_CHECKING:  # runtime import lives in analyze_sharded (avoids a cycle)
+if TYPE_CHECKING:  # runtime imports live in the sweep methods (avoids a cycle)
     from repro.distributed.dispatcher import ShardDispatcher
 
 import numpy as np
 from scipy.stats import norm
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, positive_finite
 from repro.rng import SeedLike, derive_seed, resolve_seed
-from repro.runtime import (
-    DEFAULT_BLOCK_SAMPLES,
-    CacheLike,
-    Shard,
-    ShardedMonteCarlo,
-    ShardPlan,
-    SweepExecutor,
-)
+from repro.runtime import DEFAULT_BLOCK_SAMPLES, CacheLike, Shard, ShardPlan
 from repro.sram.bitcell import BitcellBase
 from repro.sram.failures import (
     FailureMargins,
@@ -520,13 +513,12 @@ class MonteCarloAnalyzer:
         (the single-shard execution of :meth:`analyze_sharded`'s plan),
         holding one ``block_samples`` batch in memory at a time.
         """
-        if vdd <= 0:
-            raise ConfigurationError(f"vdd must be positive, got {vdd}")
+        vdd = positive_finite("vdd", vdd)
         analyzer = self if seed is None else replace(self, seed=resolve_seed(seed))
         plan = analyzer.shard_plan()
         (shard,) = plan.shards()
-        tally = tally_shard(analyzer, float(vdd), shard)
-        return _rates_from_tally(float(vdd), tally)
+        tally = tally_shard(analyzer, vdd, shard)
+        return _rates_from_tally(vdd, tally)
 
     # ------------------------------------------------------------------
     # Sweep support (parallel execution + result caching)
@@ -591,59 +583,39 @@ class MonteCarloAnalyzer:
 
         The population's blocks are grouped into ``shards`` contiguous
         shards (raised as needed so no shard exceeds
-        ``max_shard_samples``), streamed through a
-        :class:`~repro.runtime.SweepExecutor` worker pool, and reduced
-        by the exact :class:`MarginTally` merge.  Per-shard tallies are
-        cached under the ``mcshard`` namespace, so interrupted runs
-        resume from the shards they completed.
+        ``max_shard_samples``), one ``margin_tally`` job each
+        (:func:`~repro.distributed.jobs.margin_tally_jobs`), reduced by
+        the exact :class:`MarginTally` merge.  The jobs run on a
+        ``jobs``-worker pool with :func:`~repro.distributed.jobs.run_jobs`,
+        each caching its tally under the ``mcshard`` namespace of
+        ``cache`` as it completes, so interrupted runs resume from the
+        shards they completed.
 
         With ``dispatcher`` (a started
-        :class:`~repro.distributed.ShardDispatcher`), the shards are
-        farmed to remote workers over TCP instead of the local pool;
-        ``jobs``/``cache`` are then unused — the dispatcher and its
-        workers address the shared cache store directly, under the same
-        per-shard keys the local path writes.
+        :class:`~repro.distributed.ShardDispatcher`), the same jobs are
+        farmed to remote workers over TCP instead; ``jobs``/``cache``
+        are then unused — the dispatcher and its workers address the
+        shared cache store directly, under the same per-shard keys.
 
         Guarantee: the result equals :meth:`analyze` bit-for-bit for
         every ``(shards, max_shard_samples, jobs, cache, dispatcher)``
         combination.
         """
-        if vdd <= 0:
-            raise ConfigurationError(f"vdd must be positive, got {vdd}")
+        from repro.distributed.jobs import margin_tally_jobs, run_jobs
+
+        vdd = positive_finite("vdd", vdd)
         resolved = self.resolved()
         plan = resolved.shard_plan(shards=shards, max_shard_samples=max_shard_samples)
-        if dispatcher is not None:
-            from repro.distributed.jobs import margin_tally_jobs
-
-            tally: MarginTally = dispatcher.dispatch(
-                margin_tally_jobs(resolved, float(vdd), plan),
-                decode=MarginTally.from_dict,
-                merge=MarginTally.merge,
-            )
-            return _rates_from_tally(float(vdd), tally)
-        engine: ShardedMonteCarlo[MarginTally] = ShardedMonteCarlo(
-            plan, executor=SweepExecutor(jobs), cache=cache
+        run: Callable[..., Any] = (
+            dispatcher.dispatch if dispatcher is not None
+            else partial(run_jobs, store=cache, jobs=jobs)
         )
-        tally = engine.run(
-            compute=partial(tally_shard, resolved, float(vdd)),
-            payload=resolved.cache_payload(vdd),
-            encode=MarginTally.to_dict,
+        tally = run(
+            margin_tally_jobs(resolved, vdd, plan),
             decode=MarginTally.from_dict,
             merge=MarginTally.merge,
         )
-        return _rates_from_tally(float(vdd), tally)
-
-    def analyze_many(
-        self, vdds: Sequence[float], seed: SeedLike = None
-    ) -> List[FailureRates]:
-        """Batch evaluation of a chunk of voltage points.
-
-        Amortizes analyzer setup (read-cycle resolution, seed
-        resolution) across the chunk; element ``i`` equals
-        ``self.analyze(vdds[i], seed=seed)`` bit-for-bit.
-        """
-        resolved = self if self.read_cycle is not None else self.resolved()
-        return [resolved.analyze(v, seed=seed) for v in vdds]
+        return _rates_from_tally(vdd, tally)
 
     def analyze_sweep(
         self,
@@ -656,13 +628,12 @@ class MonteCarloAnalyzer:
         """Evaluate many voltage points, optionally in parallel and cached.
 
         Cached points are served without recomputation (namespace
-        ``mc``); the remaining points either fan across a
-        :class:`~repro.runtime.SweepExecutor` in chunks, or — when
-        ``shards``/``max_shard_samples`` requests sub-array sharding —
-        run point by point with each point's shards fanned across the
-        pool and cached individually.  The returned list always matches
-        a serial, uncached ``[self.analyze(v) for v in vdds]``
-        bit-for-bit.
+        ``mc``); the remaining points run as one job list on a
+        ``jobs``-worker pool, one job per shard of each point (one
+        shard unless ``shards``/``max_shard_samples`` request
+        sub-array sharding, in which case each shard is also cached on
+        its own).  The returned list always matches a serial, uncached
+        ``[self.analyze(v) for v in vdds]`` bit-for-bit.
         """
         resolved = self.resolved()
         results: Dict[int, FailureRates] = {}
@@ -676,35 +647,45 @@ class MonteCarloAnalyzer:
             else:
                 missing.append((i, float(vdd)))
 
-        if missing:
-            # A single-shard plan gains nothing from the sharded path
-            # (and would serialize the points); results are identical
-            # either way, so take the faster execution.
-            sharded = (
-                shards is not None or max_shard_samples is not None
-            ) and resolved.shard_plan(
-                shards=shards, max_shard_samples=max_shard_samples
-            ).n_shards > 1
-            if sharded:
-                # Parallelism lives inside each point (shard fan-out);
-                # points run in order so per-shard memory stays bounded.
-                computed = [
-                    resolved.analyze_sharded(
-                        v, shards=shards, max_shard_samples=max_shard_samples,
-                        jobs=jobs, cache=cache,
-                    )
-                    for _, v in missing
-                ]
-            else:
-                executor = SweepExecutor(jobs)
-                computed = executor.map_chunked(
-                    partial(_analyze_chunk, resolved), [v for _, v in missing]
-                )
-            for (i, vdd), rates in zip(missing, computed):
-                results[i] = rates
-                if cache is not None:
-                    cache.put("mc", resolved.cache_payload(vdd), rates.to_dict())
+        plan = resolved.shard_plan(shards=shards, max_shard_samples=max_shard_samples)
+        computed = resolved._sweep_rates([v for _, v in missing], plan, cache, jobs)
+        for (i, vdd), rates in zip(missing, computed):
+            results[i] = rates
+            if cache is not None:
+                cache.put("mc", resolved.cache_payload(vdd), rates.to_dict())
         return [results[i] for i in range(len(results))]
+
+    def _sweep_rates(
+        self,
+        vdds: Sequence[float],
+        plan: ShardPlan,
+        cache: Optional[CacheLike],
+        jobs: Optional[int],
+    ) -> List[FailureRates]:
+        """Failure rates of every voltage of ``vdds``, run as one job list.
+
+        Must be called on a :meth:`resolved` analyzer.  The list holds
+        every point's shard jobs, point after point; each point's
+        tallies merge exactly.  Shard tallies are cached only when the
+        plan really splits a point: a one-shard point's tally is the
+        point itself, which the caller caches at point level.
+        """
+        from repro.distributed.jobs import margin_tally_jobs, run_jobs
+
+        if not vdds:
+            return []
+        job_list = [job for vdd in vdds for job in margin_tally_jobs(self, vdd, plan)]
+        tallies = run_jobs(
+            job_list,
+            store=cache if plan.n_shards > 1 else None,
+            jobs=jobs,
+            decode=MarginTally.from_dict,
+        )
+        n = plan.n_shards
+        return [
+            _rates_from_tally(vdd, MarginTally.merge(tallies[i * n:(i + 1) * n]))
+            for i, vdd in enumerate(vdds)
+        ]
 
 
 def tally_shard(
@@ -755,13 +736,6 @@ def tally_shard(
             for name, entries in mech_blocks.items()
         },
     )
-
-
-def _analyze_chunk(
-    analyzer: MonteCarloAnalyzer, vdds: List[float]
-) -> List[FailureRates]:
-    """Worker entry point: one chunk of voltage points on one analyzer."""
-    return analyzer.analyze_many(vdds)
 
 
 def failure_rates_vs_vdd(

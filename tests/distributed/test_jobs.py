@@ -33,7 +33,6 @@ from repro.fault.evaluate import (
 )
 from repro.fault.injector import WeightFaultInjector
 from repro.fault.model import BitErrorRates
-from repro.runtime.sharding import ShardedMonteCarlo
 from repro.sram import make_cell
 from repro.sram.importance_sampling import ImportanceSampler
 from repro.sram.montecarlo import MarginTally, MonteCarloAnalyzer, tally_shard
@@ -87,12 +86,18 @@ class TestAddressCompatibility:
     def test_payload_equals_local_sharded_address(self, dist_analyzer):
         """A distributed job writes to the exact store address a local
         ``analyze_sharded`` run uses — the cross-mode dedupe contract."""
-        resolved, plan, jobs = jobs_for(dist_analyzer)
-        engine = ShardedMonteCarlo(plan)
-        spec = resolved.cache_payload(VDD)
-        for job, shard in zip(jobs, plan.shards()):
-            assert job.namespace == engine.namespace
-            assert job.payload == engine.shard_payload(spec, shard)
+        _, _, jobs = jobs_for(dist_analyzer)
+        looked_up = []
+
+        class RecordingStore:
+            def get(self, namespace, payload):
+                looked_up.append((namespace, payload))
+
+            def put(self, namespace, payload, value):
+                pass
+
+        dist_analyzer.analyze_sharded(VDD, shards=3, cache=RecordingStore())
+        assert looked_up == [(job.namespace, job.payload) for job in jobs]
 
     def test_job_ids_unique_and_ordered(self, dist_analyzer):
         _, _, jobs = jobs_for(dist_analyzer)
@@ -310,6 +315,7 @@ class TestMalformedSpecs:
         ({"seed": -1}, "seed"),
         ({"max_shift_sigma": 0}, "max_shift_sigma"),
         ({"failure_type": "meltdown"}, "failure_type"),
+        ({"bitline": None}, "bitline"),
     ])
     def test_is_shard_bad_values(self, updates, match):
         jobs = is_shard_jobs(_sampler(), [VDD], n_samples=200, seed=1)
@@ -378,6 +384,41 @@ class TestMalformedSpecs:
             for job in [*is_jobs, *fb_jobs, *nn_jobs, *mt_jobs]
         }
         assert namespaces == {"is", "faultblock", "nnfault", "mcshard"}
+
+
+@pytest.mark.parametrize("vdd", [float("nan"), float("inf"), float("-inf"), 0, -1])
+class TestNonFiniteAndNonPositiveVoltages:
+    """Specs from the wire or a journal, and local calls, reject every
+    voltage that is not a finite positive number with a
+    ConfigurationError — never a ValueError/OverflowError from the seed
+    derivation downstream."""
+
+    def test_margin_tally_job(self, dist_analyzer, vdd):
+        _, _, (job, *_) = jobs_for(dist_analyzer)
+        wire = job.to_wire()
+        wire["spec"] = {**wire["spec"], "vdd": vdd}
+        with pytest.raises(ConfigurationError, match="vdd"):
+            execute_job(ShardJob.from_wire(wire), store=None)
+
+    def test_is_shard_spec(self, vdd):
+        (job,) = is_shard_jobs(_sampler(), [VDD], n_samples=200, seed=1)
+        wire = job.to_wire()
+        wire["spec"] = {**wire["spec"], "vdd": vdd}
+        with pytest.raises(ConfigurationError, match="vdd"):
+            ShardJob.from_wire(wire)
+
+    def test_nn_fault_eval_spec(self, vdd):
+        (job,) = nn_fault_eval_jobs(MODEL, [{"vdd": VDD, "injector": None}])
+        wire = job.to_wire()
+        wire["spec"] = {**wire["spec"], "vdd": vdd}
+        with pytest.raises(ConfigurationError, match="vdd"):
+            ShardJob.from_wire(wire)
+
+    def test_analyze_and_analyze_sharded(self, dist_analyzer, vdd):
+        with pytest.raises(ConfigurationError, match="vdd"):
+            dist_analyzer.analyze(vdd)
+        with pytest.raises(ConfigurationError, match="vdd"):
+            dist_analyzer.analyze_sharded(vdd, shards=2)
 
 
 # ----------------------------------------------------------------------

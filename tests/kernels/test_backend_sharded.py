@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import pytest
 
-import repro.sram.montecarlo as mc
+import repro.distributed.jobs as jobs_module
 from repro.devices import ptm22
 from repro.kernels import MarginKernel, payload_fields, register_backend
 from repro.runtime import ResultCache
@@ -29,13 +29,13 @@ def analyzer():
 
 def _counting_tally(monkeypatch):
     calls = []
-    original = mc.tally_shard
+    original = jobs_module.tally_shard
 
     def counting(analyzer, vdd, shard):
         calls.append(shard.index)
         return original(analyzer, vdd, shard)
 
-    monkeypatch.setattr(mc, "tally_shard", counting)
+    monkeypatch.setattr(jobs_module, "tally_shard", counting)
     return calls
 
 

@@ -60,15 +60,6 @@ class TestSweepExecutorSerial:
     def test_map_empty(self):
         assert SweepExecutor(jobs=1).map(abs, []) == []
 
-    def test_map_chunked_serial(self):
-        out = SweepExecutor(jobs=1).map_chunked(
-            lambda chunk: [x + 1 for x in chunk], [1, 2, 3]
-        )
-        assert out == [2, 3, 4]
-
-    def test_map_chunked_empty(self):
-        assert SweepExecutor(jobs=1).map_chunked(list, []) == []
-
     def test_rejects_bad_chunks_per_worker(self):
         with pytest.raises(ValueError):
             SweepExecutor(jobs=1, chunks_per_worker=0)

@@ -4,6 +4,7 @@ cache serves sweeps without recomputing any Monte Carlo."""
 
 import pytest
 
+import repro.distributed.jobs as jobs_module
 from repro.devices.variation import VariationModel
 from repro.runtime import ResultCache
 from repro.sram import characterize_cell, failure_rates_vs_vdd
@@ -26,10 +27,10 @@ class TestParallelBitIdentity:
         )
         assert parallel == serial_rates  # FailureRates compares exactly
 
-    def test_analyze_many_matches_analyze(self, cell6):
+    def test_analyze_sweep_matches_analyze(self, cell6):
+        """The sweep's job list reproduces the monolithic in-process path."""
         analyzer = MonteCarloAnalyzer(cell=cell6, n_samples=N_SAMPLES, seed=11)
-        batch = analyzer.analyze_many(VDDS)
-        assert batch == [analyzer.analyze(v) for v in VDDS]
+        assert analyzer.analyze_sweep(VDDS) == [analyzer.analyze(v) for v in VDDS]
 
     def test_sweep_order_does_not_change_point_results(self, cell6):
         forward = failure_rates_vs_vdd(cell6, VDDS, n_samples=N_SAMPLES, seed=11)
@@ -115,13 +116,13 @@ class TestCharacterizationCaching:
             n_samples=N_SAMPLES, cache_dir=cache_dir,
         )
         calls = []
-        original = MonteCarloAnalyzer.analyze
+        original = jobs_module.tally_shard
 
-        def counting(self, vdd, seed=None):
+        def counting(analyzer, vdd, shard):
             calls.append(float(vdd))
-            return original(self, vdd, seed=seed)
+            return original(analyzer, vdd, shard)
 
-        monkeypatch.setattr(MonteCarloAnalyzer, "analyze", counting)
+        monkeypatch.setattr(jobs_module, "tally_shard", counting)
         grown = characterize_cell(
             cell_kind="6t", technology=tech, vdd_grid=(0.70, 0.80, 0.90),
             n_samples=N_SAMPLES, cache_dir=cache_dir,

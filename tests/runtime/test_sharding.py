@@ -9,8 +9,9 @@ performs.
 
 import pytest
 
+import repro.distributed.jobs as jobs_module
+from repro.distributed.jobs import margin_tally_jobs, run_jobs
 from repro.runtime import ResultCache, ShardPlan
-from repro.runtime.sharding import ShardedMonteCarlo
 from repro.sram.montecarlo import MarginTally, MonteCarloAnalyzer
 
 #: Shard counts from the acceptance criteria: serial, even split, ragged.
@@ -197,76 +198,42 @@ class TestShardCaching:
         assert reread.hits == 4 and reread.misses == 0
 
     def test_interrupted_run_resumes_from_completed_shards(
-        self, analyzer, monolithic, tmp_path, monkeypatch
+        self, analyzer, monolithic, tmp_path
     ):
         cache = ResultCache(cache_dir=str(tmp_path))
-        # Warm two of four shards by running a plan whose first two
-        # shards cover the same block ranges (shard keys are layout
-        # independent, so a 4-shard rerun picks them up).
-        plan = analyzer.shard_plan(shards=4)
+        # Warm two of four shards by running only their jobs; a full
+        # 4-shard run then picks them up from the store.
         resolved = analyzer.resolved()
-        from functools import partial
+        jobs = margin_tally_jobs(resolved, 0.7, resolved.shard_plan(shards=4))
+        run_jobs(jobs[:2], store=cache)
 
-        from repro.sram.montecarlo import MarginTally, tally_shard
-
-        engine = ShardedMonteCarlo(plan, cache=cache)
-        for shard in plan.shards()[:2]:
-            tally = tally_shard(resolved, 0.7, shard)
-            cache.put("mcshard", engine.shard_payload(resolved.cache_payload(0.7), shard),
-                      tally.to_dict())
-
-        full = engine.run(
-            compute=partial(tally_shard, resolved, 0.7),
-            payload=resolved.cache_payload(0.7),
-            encode=MarginTally.to_dict,
-            decode=MarginTally.from_dict,
-            merge=MarginTally.merge,
-        )
-        assert cache.hits == 2 and cache.misses == 2
-        from repro.sram.montecarlo import _rates_from_tally
-
-        assert _rates_from_tally(0.7, full) == monolithic
+        resumed = ResultCache(cache_dir=str(tmp_path))
+        assert analyzer.analyze_sharded(0.7, shards=4, cache=resumed) == monolithic
+        assert resumed.hits == 2 and resumed.misses == 2
 
     def test_completed_shards_persist_when_a_later_shard_dies(
-        self, analyzer, monolithic, tmp_path
+        self, analyzer, monolithic, tmp_path, monkeypatch
     ):
         """Interruption mid-run loses only in-flight shards: every shard
         that completed before the failure is already on disk."""
         cache = ResultCache(cache_dir=str(tmp_path))
-        resolved = analyzer.resolved()
-        plan = resolved.shard_plan(shards=4)
-        from functools import partial
+        original = jobs_module.tally_shard
 
-        from repro.sram.montecarlo import _rates_from_tally, tally_shard
-
-        def dying_compute(shard):
+        def dying_tally(analyzer, vdd, shard):
             if shard.index == 2:
                 raise KeyboardInterrupt("simulated mid-run interruption")
-            return tally_shard(resolved, 0.7, shard)
+            return original(analyzer, vdd, shard)
 
-        engine = ShardedMonteCarlo(plan, cache=cache)
+        monkeypatch.setattr(jobs_module, "tally_shard", dying_tally)
         with pytest.raises(KeyboardInterrupt):
-            engine.run(
-                compute=dying_compute,
-                payload=resolved.cache_payload(0.7),
-                encode=MarginTally.to_dict,
-                decode=MarginTally.from_dict,
-                merge=MarginTally.merge,
-            )
+            analyzer.analyze_sharded(0.7, shards=4, cache=cache)
         # Shards 0 and 1 completed before the failure and were stored.
         assert cache.stats().by_namespace.get("mcshard", 0) == 2
 
+        monkeypatch.undo()
         resumed = ResultCache(cache_dir=str(tmp_path))
-        engine = ShardedMonteCarlo(plan, cache=resumed)
-        full = engine.run(
-            compute=partial(tally_shard, resolved, 0.7),
-            payload=resolved.cache_payload(0.7),
-            encode=MarginTally.to_dict,
-            decode=MarginTally.from_dict,
-            merge=MarginTally.merge,
-        )
+        assert analyzer.analyze_sharded(0.7, shards=4, cache=resumed) == monolithic
         assert resumed.hits == 2 and resumed.misses == 2
-        assert _rates_from_tally(0.7, full) == monolithic
 
     def test_different_block_sizes_do_not_collide(self, cell6, tmp_path):
         cache = ResultCache(cache_dir=str(tmp_path))

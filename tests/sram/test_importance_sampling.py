@@ -116,6 +116,39 @@ class TestSweep:
         assert [r.probability for r in warm] == [r.probability for r in cold]
         assert cache.hits == len(self.VDDS)
 
+    def test_sweep_that_dies_keeps_completed_points(self, sampler, tmp_path, monkeypatch):
+        """A sweep interrupted at point k has already stored points < k,
+        and a rerun computes only the rest."""
+        from repro.runtime import ResultCache
+
+        cache = ResultCache(cache_dir=str(tmp_path))
+        original = ImportanceSampler.estimate
+
+        def dying(self, vdd, *args, **kwargs):
+            if vdd == TestSweep.VDDS[2]:
+                raise KeyboardInterrupt("simulated mid-sweep interruption")
+            return original(self, vdd, *args, **kwargs)
+
+        monkeypatch.setattr(ImportanceSampler, "estimate", dying)
+        with pytest.raises(KeyboardInterrupt):
+            sampler.estimate_sweep(self.VDDS, n_samples=200, seed=8, cache=cache)
+        assert cache.stats().by_namespace.get("is", 0) == 2
+
+        monkeypatch.undo()
+        resumed = ResultCache(cache_dir=str(tmp_path))
+        results = sampler.estimate_sweep(self.VDDS, n_samples=200, seed=8, cache=resumed)
+        assert resumed.hits == 2 and resumed.misses == 1
+        fresh = sampler.estimate_sweep(self.VDDS, n_samples=200, seed=8)
+        assert [r.to_dict() for r in results] == [r.to_dict() for r in fresh]
+
+    def test_empty_sweep(self, sampler):
+        class NoFleet:
+            def dispatch(self, *args, **kwargs):
+                raise AssertionError("an empty sweep dispatched jobs")
+
+        assert sampler.estimate_sweep([]) == []
+        assert sampler.estimate_sweep([], dispatcher=NoFleet()) == []
+
 
 class TestValidation:
     def test_rejects_tiny_sample_count(self, sampler):
