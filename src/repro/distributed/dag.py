@@ -20,9 +20,9 @@ feeds) the same store entries as the equivalent phase-by-phase run.
 :func:`paper_pipeline_dag` instantiates the shape for the paper: one
 ``margin_tally`` node per (cell kind, voltage), a rate-table reduction
 built with :meth:`~repro.mem.tables.CellTables.build`'s own helpers
-(shared 6T read budget), and an ``nn_fault_eval`` node whose injectors come from
-:func:`~repro.fault.model.word_bit_error_rates` over the reduced
-tables.
+(shared 6T read budget), and an ``nn_fault_eval`` node whose injectors
+come from :func:`~repro.fault.model.word_bit_error_rates` over the
+reduced tables.
 """
 
 from __future__ import annotations

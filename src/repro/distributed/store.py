@@ -3,7 +3,8 @@
 The dispatcher and its workers communicate results twice: inline over
 the wire (so a run completes without waiting on storage propagation)
 and through a *shared cache store* keyed by the same content addresses
-a local :func:`~repro.distributed.jobs.run_jobs` run uses.  The store is what makes the system idempotent and resumable:
+a local :func:`~repro.distributed.jobs.run_jobs` run uses.  The store
+is what makes the system idempotent and resumable:
 
 * a shard recomputed anywhere — retry after a worker death, a
   speculative duplicate, a rerun next week — lands on the same address

@@ -249,8 +249,8 @@ def characterize_cell(
     ``max_shard_samples`` request sub-array sharding, each voltage
     point's Monte-Carlo population runs as several shard jobs (bounded
     per-shard memory, per-shard cache entries); the table is
-    bit-identical for every (jobs, cache, shards) combination.  ``block_samples`` sets the
-    sharding granularity — unlike the execution knobs it is part of the
+    bit-identical for every (jobs, cache, shards) combination.
+    ``block_samples`` sets the sharding granularity — unlike the execution knobs it is part of the
     population's statistical definition (it selects which child seed
     each sample draws from), so tables with different block sizes are
     different, equally valid populations and are cached separately.

@@ -673,6 +673,7 @@ class MonteCarloAnalyzer:
         from repro.distributed.jobs import margin_tally_jobs, run_jobs
 
         if not vdds:
+            # A fully cached sweep starts no pool (nor resolves REPRO_JOBS).
             return []
         job_list = [job for vdd in vdds for job in margin_tally_jobs(self, vdd, plan)]
         tallies = run_jobs(
