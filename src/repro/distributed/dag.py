@@ -41,7 +41,7 @@ from repro.sram.characterize import _point_from_rates, cell_analyzer, cell_table
 from repro.sram.montecarlo import (
     MarginTally,
     MonteCarloAnalyzer,
-    _rates_from_tally,
+    rates_from_tally,
 )
 from repro.fault.injector import WeightFaultInjector
 from repro.fault.model import word_bit_error_rates
@@ -346,7 +346,7 @@ def paper_pipeline_dag(
                 tally: MarginTally, upstream: Mapping[str, Any],
                 vdd: float = vdd,
             ) -> Any:
-                return _rates_from_tally(vdd, tally)
+                return rates_from_tally(vdd, tally)
 
             nodes.append(job_node(
                 name, _margin_jobs,

@@ -51,9 +51,12 @@ dispatcher or worker code.
 from __future__ import annotations
 
 import uuid
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple,
+    TypeVar, Union,
+)
 
 from repro.devices.technology import MosfetParams, Technology
 from repro.errors import ConfigurationError, positive_finite
@@ -71,11 +74,25 @@ from repro.runtime.tiering import CacheLike
 from repro.sram.bitcell import make_cell
 from repro.sram.failures import FailureType
 from repro.sram.importance_sampling import ImportanceSampler
-from repro.sram.montecarlo import MonteCarloAnalyzer, tally_shard
+from repro.sram.montecarlo import (
+    FailureRates,
+    MarginTally,
+    MonteCarloAnalyzer,
+    rates_from_tally,
+    tally_shard,
+)
 from repro.sram.read_path import BitlineModel
 from repro.sram.sizing import CellSizing
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.distributed.dispatcher import ShardDispatcher
+    from repro.kernels import MarginKernel
+
 T = TypeVar("T")
+
+#: A margin-kernel backend choice: a registered name, a kernel
+#: instance, or ``None`` for the session default.
+BackendSpec = Union[None, str, "MarginKernel"]
 
 #: Cache namespace of Monte-Carlo margin tallies, one entry per shard.
 MARGIN_TALLY_NAMESPACE = "mcshard"
@@ -139,6 +156,15 @@ class ShardJob:
     store; ``spec`` is the population identity the compute function
     rebuilds its inputs from.  Instances are immutable and fully
     JSON-serializable via :meth:`to_wire`/:meth:`from_wire`.
+
+    ``backend`` is the margin-kernel backend the caller pinned on its
+    analyzer or sampler (a name or a
+    :class:`~repro.kernels.MarginKernel`).  It steers a local run
+    (:func:`run_jobs`, pickled into its spawned workers) and is
+    nowhere else: not in the spec, the store address or the wire.  A
+    fleet worker therefore uses its own default, which is safe because
+    canonical backends are bit-identical and a nonzero-rev backend
+    already names itself in the spec.
     """
 
     job_id: str
@@ -149,6 +175,7 @@ class ShardJob:
     block_samples: int
     namespace: str
     payload: Dict[str, Any]
+    backend: BackendSpec = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if not self.job_id:
@@ -265,6 +292,57 @@ def run_jobs(
     return merge(values) if merge is not None else values
 
 
+def job_runner(
+    dispatcher: Optional["ShardDispatcher"] = None,
+    store: Optional[CacheLike] = None,
+    jobs: Optional[int] = None,
+) -> Callable[..., Any]:
+    """The runner of a sweep's job list.
+
+    ``dispatcher.dispatch`` when a started fleet is given (its workers
+    address the shared store themselves, so ``store``/``jobs`` are
+    unused), else :func:`run_jobs` on ``store`` with ``jobs`` workers.
+    Both take ``(job_list, decode=, merge=)``.
+    """
+    if dispatcher is not None:
+        return dispatcher.dispatch
+    return partial(run_jobs, store=store, jobs=jobs)
+
+
+def sweep_failure_rates(
+    analyzer: MonteCarloAnalyzer,
+    vdds: Sequence[float],
+    plan: ShardPlan,
+    store: Optional[CacheLike] = None,
+    jobs: Optional[int] = None,
+) -> List[FailureRates]:
+    """Failure rates of every voltage of ``vdds``, run as one job list.
+
+    ``analyzer`` must be
+    :meth:`~repro.sram.montecarlo.MonteCarloAnalyzer.resolved`.  The
+    list holds every point's ``plan`` shard jobs, point after point,
+    run by :func:`run_jobs`; each point's tallies merge exactly.  Shard
+    tallies go to ``store`` only when the plan really splits a point: a
+    one-shard point's tally is the point itself, which the caller
+    stores at point level.
+    """
+    if not vdds:
+        # A fully cached sweep starts no pool (nor resolves REPRO_JOBS).
+        return []
+    job_list = [job for vdd in vdds for job in margin_tally_jobs(analyzer, vdd, plan)]
+    tallies = run_jobs(
+        job_list,
+        store=store if plan.n_shards > 1 else None,
+        jobs=jobs,
+        decode=MarginTally.from_dict,
+    )
+    n = plan.n_shards
+    return [
+        rates_from_tally(vdd, MarginTally.merge(tallies[i * n:(i + 1) * n]))
+        for i, vdd in enumerate(vdds)
+    ]
+
+
 def _point_shard(index: int) -> Dict[str, int]:
     """Trivial one-block descriptor for point-shaped job kinds.
 
@@ -296,14 +374,18 @@ def _strict_int(kind: str, name: str, value: Any, minimum: int) -> int:
 # ----------------------------------------------------------------------
 # The "margin_tally" kind: Monte-Carlo failure-margin shards
 # ----------------------------------------------------------------------
-def _from_spec(spec: Dict[str, Any], what: str, build: Callable[..., T]) -> T:
+def _from_spec(
+    spec: Dict[str, Any], what: str, build: Callable[..., T],
+    backend: BackendSpec = None,
+) -> T:
     """Rebuild the technology, cell and bitline a spec names, then ``build``.
 
     ``build(cell, bitline, backend)`` receives the cell, the bitline
-    (``None`` when the spec has none) and the pinned margin backend.
-    Canonical margin backends never appear in a spec (they are
-    bit-identical, so the worker's own default applies); a nonzero-rev
-    backend travels with the population identity.  Raises
+    (``None`` when the spec has none) and the margin backend: the
+    job's own ``backend`` when given, else the nonzero-rev backend the
+    spec names, else ``None`` (the session default).  Canonical
+    backends never appear in a spec; they are bit-identical, so a job
+    that carries none may run on any of them.  Raises
     :class:`~repro.errors.ConfigurationError` on a spec this library
     version cannot reproduce.
     """
@@ -324,20 +406,24 @@ def _from_spec(spec: Dict[str, Any], what: str, build: Callable[..., T]) -> T:
                 rows=int(spec["bitline"]["rows"]),
                 port_width=spec["bitline"]["port_width"],
             )
-        kernel = spec.get("margin_kernel") or {}
-        return build(cell, bitline, kernel.get("backend"))
+        if backend is None:
+            backend = (spec.get("margin_kernel") or {}).get("backend")
+        return build(cell, bitline, backend)
     except (KeyError, TypeError) as exc:
         raise ConfigurationError(
             f"{what} spec is not reconstructible: {exc!r}"
         ) from None
 
 
-def analyzer_from_spec(spec: Dict[str, Any]) -> MonteCarloAnalyzer:
+def analyzer_from_spec(
+    spec: Dict[str, Any], backend: BackendSpec = None
+) -> MonteCarloAnalyzer:
     """Rebuild a resolved analyzer from its ``cache_payload`` fields.
 
     Inverse of :meth:`~repro.sram.montecarlo.MonteCarloAnalyzer.cache_payload`
     for everything that defines the population (the ``vdd`` entry rides
-    along untouched; ``rev`` is cache bookkeeping).
+    along untouched; ``rev`` is cache bookkeeping).  ``backend`` (a
+    job's :attr:`ShardJob.backend`) overrides the spec's.
     """
     return _from_spec(
         spec,
@@ -351,12 +437,13 @@ def analyzer_from_spec(spec: Dict[str, Any]) -> MonteCarloAnalyzer:
             block_samples=int(spec["block_samples"]),
             backend=backend,
         ),
+        backend,
     )
 
 
 def _run_margin_tally(job: ShardJob) -> Dict[str, Any]:
     """Worker compute function: tally one shard, return its JSON form."""
-    analyzer = analyzer_from_spec(job.spec)
+    analyzer = analyzer_from_spec(job.spec, job.backend)
     vdd = positive_finite("margin_tally spec vdd", job.spec.get("vdd"))
     return tally_shard(analyzer, vdd, job.to_shard()).to_dict()
 
@@ -410,6 +497,7 @@ def margin_tally_jobs(
             block_samples=plan.block_samples,
             namespace=MARGIN_TALLY_NAMESPACE,
             payload=shard_payload(spec, shard, plan.block_samples),
+            backend=analyzer.backend,
         )
         for shard in plan.shards()
     ]
@@ -442,13 +530,16 @@ def _validate_is_shard_spec(spec: Dict[str, Any]) -> None:
         ) from None
 
 
-def sampler_from_spec(spec: Dict[str, Any]) -> ImportanceSampler:
+def sampler_from_spec(
+    spec: Dict[str, Any], backend: BackendSpec = None
+) -> ImportanceSampler:
     """Rebuild an importance sampler from its ``point_payload`` fields.
 
     Inverse of
     :meth:`~repro.sram.importance_sampling.ImportanceSampler.point_payload`
     for everything that defines the estimator (the per-point fields —
     ``vdd``, ``n_samples``, ``seed``, ... — ride along untouched).
+    ``backend`` (a job's :attr:`ShardJob.backend`) overrides the spec's.
     """
     return _from_spec(
         spec,
@@ -459,6 +550,7 @@ def sampler_from_spec(spec: Dict[str, Any]) -> ImportanceSampler:
             read_cycle=float(spec["read_cycle"]),
             backend=backend,
         ),
+        backend,
     )
 
 
@@ -470,7 +562,7 @@ def _run_is_shard(job: ShardJob) -> Dict[str, Any]:
     sweep it came in nor where it ran.
     """
     spec = job.spec
-    sampler = sampler_from_spec(spec)
+    sampler = sampler_from_spec(spec, job.backend)
     vdd = float(spec["vdd"])
     result = sampler.estimate(
         vdd,
@@ -519,6 +611,7 @@ def is_shard_jobs(
                 block_samples=1,
                 namespace=IS_SHARD_NAMESPACE,
                 payload=spec,
+                backend=sampler.backend,
             )
         )
     return jobs

@@ -305,8 +305,12 @@ def characterize_cell(
         else:
             missing.append((i, float(vdd)))
 
+    from repro.distributed.jobs import sweep_failure_rates
+
     plan = analyzer.shard_plan(shards=shards, max_shard_samples=max_shard_samples)
-    rates = analyzer._sweep_rates([v for _, v in missing], plan, store, jobs)
+    rates = sweep_failure_rates(
+        analyzer, [v for _, v in missing], plan, store=store, jobs=jobs
+    )
     for (i, vdd), point_rates in zip(missing, rates):
         points[i] = _point_from_rates(analyzer, rows, vdd, point_rates)
         store.put("cellpoint", _point_payload(analyzer, rows, vdd), asdict(points[i]))

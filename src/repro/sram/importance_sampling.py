@@ -22,8 +22,7 @@ yield statements).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -274,15 +273,11 @@ class ImportanceSampler:
         ``jobs``: the numbers cannot change, and the fleet reads/writes
         the same ``is`` store addresses a cached local sweep uses.
         """
-        from repro.distributed.jobs import is_shard_jobs, run_jobs
+        from repro.distributed.jobs import is_shard_jobs, job_runner
 
         if len(vdds) == 0:
             return []
-        run: Callable[..., Any] = (
-            dispatcher.dispatch if dispatcher is not None
-            else partial(run_jobs, store=cache, jobs=jobs)
-        )
-        return run(
+        return job_runner(dispatcher, store=cache, jobs=jobs)(
             is_shard_jobs(
                 self, [float(v) for v in vdds],
                 failure_type=failure_type, n_samples=n_samples,

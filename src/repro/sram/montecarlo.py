@@ -33,8 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
-from functools import partial
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # runtime imports live in the sweep methods (avoids a cycle)
     from repro.distributed.dispatcher import ShardDispatcher
@@ -338,7 +337,7 @@ class FailureRates:
         )
 
 
-def _rates_from_tally(vdd: float, tally: MarginTally) -> FailureRates:
+def rates_from_tally(vdd: float, tally: MarginTally) -> FailureRates:
     """Derive the blended failure-rate summary from a merged tally."""
     n = tally.n_samples
     empirical: Dict[str, float] = {}
@@ -518,7 +517,7 @@ class MonteCarloAnalyzer:
         plan = analyzer.shard_plan()
         (shard,) = plan.shards()
         tally = tally_shard(analyzer, vdd, shard)
-        return _rates_from_tally(vdd, tally)
+        return rates_from_tally(vdd, tally)
 
     # ------------------------------------------------------------------
     # Sweep support (parallel execution + result caching)
@@ -601,21 +600,17 @@ class MonteCarloAnalyzer:
         every ``(shards, max_shard_samples, jobs, cache, dispatcher)``
         combination.
         """
-        from repro.distributed.jobs import margin_tally_jobs, run_jobs
+        from repro.distributed.jobs import job_runner, margin_tally_jobs
 
         vdd = positive_finite("vdd", vdd)
         resolved = self.resolved()
         plan = resolved.shard_plan(shards=shards, max_shard_samples=max_shard_samples)
-        run: Callable[..., Any] = (
-            dispatcher.dispatch if dispatcher is not None
-            else partial(run_jobs, store=cache, jobs=jobs)
-        )
-        tally = run(
+        tally = job_runner(dispatcher, store=cache, jobs=jobs)(
             margin_tally_jobs(resolved, vdd, plan),
             decode=MarginTally.from_dict,
             merge=MarginTally.merge,
         )
-        return _rates_from_tally(vdd, tally)
+        return rates_from_tally(vdd, tally)
 
     def analyze_sweep(
         self,
@@ -635,6 +630,8 @@ class MonteCarloAnalyzer:
         its own).  The returned list always matches a serial, uncached
         ``[self.analyze(v) for v in vdds]`` bit-for-bit.
         """
+        from repro.distributed.jobs import sweep_failure_rates
+
         resolved = self.resolved()
         results: Dict[int, FailureRates] = {}
         missing: List[Tuple[int, float]] = []
@@ -648,45 +645,14 @@ class MonteCarloAnalyzer:
                 missing.append((i, float(vdd)))
 
         plan = resolved.shard_plan(shards=shards, max_shard_samples=max_shard_samples)
-        computed = resolved._sweep_rates([v for _, v in missing], plan, cache, jobs)
+        computed = sweep_failure_rates(
+            resolved, [v for _, v in missing], plan, store=cache, jobs=jobs
+        )
         for (i, vdd), rates in zip(missing, computed):
             results[i] = rates
             if cache is not None:
                 cache.put("mc", resolved.cache_payload(vdd), rates.to_dict())
         return [results[i] for i in range(len(results))]
-
-    def _sweep_rates(
-        self,
-        vdds: Sequence[float],
-        plan: ShardPlan,
-        cache: Optional[CacheLike],
-        jobs: Optional[int],
-    ) -> List[FailureRates]:
-        """Failure rates of every voltage of ``vdds``, run as one job list.
-
-        Must be called on a :meth:`resolved` analyzer.  The list holds
-        every point's shard jobs, point after point; each point's
-        tallies merge exactly.  Shard tallies are cached only when the
-        plan really splits a point: a one-shard point's tally is the
-        point itself, which the caller caches at point level.
-        """
-        from repro.distributed.jobs import margin_tally_jobs, run_jobs
-
-        if not vdds:
-            # A fully cached sweep starts no pool (nor resolves REPRO_JOBS).
-            return []
-        job_list = [job for vdd in vdds for job in margin_tally_jobs(self, vdd, plan)]
-        tallies = run_jobs(
-            job_list,
-            store=cache if plan.n_shards > 1 else None,
-            jobs=jobs,
-            decode=MarginTally.from_dict,
-        )
-        n = plan.n_shards
-        return [
-            _rates_from_tally(vdd, MarginTally.merge(tallies[i * n:(i + 1) * n]))
-            for i, vdd in enumerate(vdds)
-        ]
 
 
 def tally_shard(

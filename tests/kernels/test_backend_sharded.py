@@ -8,15 +8,25 @@ distributed fleets alike.  A backend with intentionally different
 numerics (nonzero ``rev``) must instead get its own cache identity.
 """
 
+import os
 from dataclasses import replace
 
 import pytest
 
 import repro.distributed.jobs as jobs_module
 from repro.devices import ptm22
-from repro.kernels import MarginKernel, payload_fields, register_backend
+from repro.kernels import (
+    ENV_VAR,
+    FusedKernel,
+    MarginKernel,
+    ReferenceKernel,
+    payload_fields,
+    register_backend,
+)
 from repro.runtime import ResultCache
 from repro.sram.bitcell import make_cell
+from repro.sram.failures import FailureType
+from repro.sram.importance_sampling import ImportanceSampler
 from repro.sram.montecarlo import MonteCarloAnalyzer
 
 
@@ -111,3 +121,90 @@ def test_noncanonical_backend_gets_its_own_cache_identity(analyzer):
         assert rebuilt.cache_payload(0.7) == tagged
     finally:
         base._REGISTRY.pop("test-nonexact", None)
+
+
+# ----------------------------------------------------------------------
+# A pinned backend is the one that runs, in-process and in spawned workers
+# ----------------------------------------------------------------------
+def _count_kernel_calls(monkeypatch):
+    """Count ``margins`` calls per shipped kernel class (this process only)."""
+    calls = {"reference": 0, "fused": 0}
+    for name, kernel_class in (("reference", ReferenceKernel), ("fused", FusedKernel)):
+        original = kernel_class.margins
+
+        def counting(self, *args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(kernel_class, "margins", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda a: a.analyze_sharded(0.7, shards=4),
+        lambda a: a.analyze_sweep([0.65, 0.7]),
+        lambda a: a.analyze_sweep([0.65, 0.7], shards=4),
+    ],
+    ids=["analyze_sharded", "analyze_sweep", "analyze_sweep-shards4"],
+)
+def test_pinned_reference_backend_runs_in_process(analyzer, monkeypatch, run):
+    calls = _count_kernel_calls(monkeypatch)
+    run(replace(analyzer, backend="reference"))
+    assert calls["reference"] > 0
+    assert calls["fused"] == 0
+
+
+@pytest.fixture
+def cell6_sampler():
+    return ImportanceSampler(make_cell("6t", ptm22()), backend="reference")
+
+
+def test_pinned_reference_backend_runs_importance_sampling(cell6_sampler, monkeypatch):
+    calls = _count_kernel_calls(monkeypatch)
+    cell6_sampler.estimate_sweep(
+        [0.65, 0.7], failure_type=FailureType.WRITE, n_samples=200, seed=3
+    )
+    assert calls["reference"] > 0
+    assert calls["fused"] == 0
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda a: a.analyze_sharded(0.7, shards=4, jobs=2),
+        lambda a: a.analyze_sweep([0.65, 0.7], jobs=2),
+    ],
+    ids=["analyze_sharded", "analyze_sweep"],
+)
+def test_pinned_backend_name_reaches_spawned_workers(analyzer, monkeypatch, run):
+    # Spawned workers inherit this environment: a job that did not carry
+    # the pinned name would fall back to REPRO_BACKEND and fail on it.
+    expected = run(analyzer)
+    monkeypatch.setenv(ENV_VAR, "no-such-backend")
+    assert run(replace(analyzer, backend="reference")) == expected
+
+
+class _LoggingReference(ReferenceKernel):
+    """The reference kernel, logging the pid of every ``margins`` call."""
+
+    def __init__(self, log_path):
+        self.log_path = str(log_path)
+
+    def margins(self, cell, vdd, dvt, bitline, read_cycle):
+        with open(self.log_path, "a") as log:
+            log.write(f"{os.getpid()}\n")
+        return super().margins(cell, vdd, dvt, bitline, read_cycle)
+
+
+def test_pinned_backend_instance_reaches_spawned_workers(analyzer, tmp_path):
+    log_path = tmp_path / "calls.log"
+    pinned = replace(analyzer, backend=_LoggingReference(log_path))
+    rates = pinned.analyze_sweep([0.65, 0.7], jobs=2)
+    assert rates == analyzer.analyze_sweep([0.65, 0.7])
+    pids = log_path.read_text().split()
+    # Two points of four 128-sample blocks, all evaluated by the pinned
+    # instance, in the pool's workers rather than in this process.
+    assert len(pids) == 8
+    assert str(os.getpid()) not in pids
