@@ -132,8 +132,10 @@ def train_benchmark_ann(
     """Train (or load from cache) the benchmark digit-recognition ANN.
 
     The trained float parameters are cached on disk; the dataset is
-    regenerated deterministically from its seed each call (generation is
-    a few seconds, and caching images would dwarf the weight cache).
+    regenerated deterministically from its seed (caching images would
+    dwarf the weight cache).  Only the splits that are read get
+    generated: a call that loads cached weights synthesizes just the
+    test split, which is all evaluation reads.
     """
     spec = resolve_profile(profile, seed=seed)
     dataset = load_synthetic_digits(
@@ -248,14 +250,14 @@ class CircuitToSystemSimulator:
         Evaluation only ever reads the *test* split, but the training
         and validation arrays dominate the simulator's pickled size
         (~5x); the clone replaces them with empty arrays so process
-        fan-out doesn't serialize megabytes of unused data.  Results
-        are unaffected.
+        fan-out doesn't serialize megabytes of unused data.  The empty
+        arrays are cut from the test split, so splits not generated yet
+        stay ungenerated.  Results are unaffected.
         """
         ds = self.model.dataset
+        empty_x, empty_y = ds.x_test[:0], ds.y_test[:0]
         pruned_dataset = dataclasses.replace(
-            ds,
-            x_train=ds.x_train[:0], y_train=ds.y_train[:0],
-            x_val=ds.x_val[:0], y_val=ds.y_val[:0],
+            ds, x_train=empty_x, y_train=empty_y, x_val=empty_x, y_val=empty_y,
         )
         pruned_model = dataclasses.replace(self.model, dataset=pruned_dataset)
         clone = CircuitToSystemSimulator(

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, positive_finite
 from repro.fault.injector import WeightFaultInjector
 from repro.mem.bank import HybridBank
 
@@ -27,11 +27,9 @@ class SynapticMemoryArchitecture:
     def __init__(self, name: str, banks: Sequence[HybridBank], vdd: float):
         if not banks:
             raise ConfigurationError("an architecture needs at least one bank")
-        if vdd <= 0:
-            raise ConfigurationError(f"vdd must be positive, got {vdd}")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "banks", tuple(banks))
-        object.__setattr__(self, "vdd", float(vdd))
+        object.__setattr__(self, "vdd", positive_finite("vdd", vdd))
 
     # ------------------------------------------------------------------
     @property

@@ -10,10 +10,19 @@ from repro.errors import DatasetError
 from repro.nn.datasets.synth_digits import SyntheticDigitConfig, generate_digit_images
 from repro.rng import SeedLike, derive_seed
 
+#: Field name -> split for the splits that may be generated on first read.
+_DEFERRABLE = {"x_train": "train", "y_train": "train", "x_val": "val", "y_val": "val"}
+
 
 @dataclass(frozen=True)
 class DigitDataset:
-    """Train/validation/test split of the digit task."""
+    """Train/validation/test split of the digit task.
+
+    A dataset from :func:`load_synthetic_digits` holds the test split at
+    once and generates the training and validation splits on first read,
+    keeping them from then on.  Evaluating a cached model reads only the
+    test split, so it never pays for the other two.
+    """
 
     x_train: np.ndarray
     y_train: np.ndarray
@@ -21,6 +30,18 @@ class DigitDataset:
     y_val: np.ndarray
     x_test: np.ndarray
     y_test: np.ndarray
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        # Reached only when normal lookup fails: for a split that is
+        # still pending, or for a name the dataset does not have.
+        pending = self.__dict__.get("_pending", {})
+        split = _DEFERRABLE.get(name)
+        if split not in pending:
+            raise AttributeError(name)
+        n_samples, seed, config = pending[split]
+        x, y = generate_digit_images(n_samples, seed=seed, config=config)
+        self.__dict__.update({f"x_{split}": x, f"y_{split}": y})
+        return self.__dict__[name]
 
     @property
     def n_features(self) -> int:
@@ -44,21 +65,21 @@ def load_synthetic_digits(
     seed: SeedLike = None,
     config: SyntheticDigitConfig = SyntheticDigitConfig(),
 ) -> DigitDataset:
-    """Generate a full train/val/test digit dataset.
+    """A train/val/test digit dataset; train and val are generated on first read.
 
     The three splits use independent derived seeds so that changing the
-    training-set size does not silently change the test set.
+    training-set size does not silently change the test set — and so
+    that generating a split later, or never, leaves the others as they
+    would be.
     """
     if min(n_train, n_val, n_test) <= 0:
         raise DatasetError("all split sizes must be positive")
-    x_train, y_train = generate_digit_images(n_train, seed=derive_seed(seed, 1),
-                                             config=config)
-    x_val, y_val = generate_digit_images(n_val, seed=derive_seed(seed, 2),
-                                         config=config)
-    x_test, y_test = generate_digit_images(n_test, seed=derive_seed(seed, 3),
-                                           config=config)
-    return DigitDataset(
-        x_train=x_train, y_train=y_train,
-        x_val=x_val, y_val=y_val,
+    train_seed, val_seed, test_seed = (derive_seed(seed, k) for k in (1, 2, 3))
+    x_test, y_test = generate_digit_images(n_test, seed=test_seed, config=config)
+    dataset = object.__new__(DigitDataset)
+    dataset.__dict__.update(
         x_test=x_test, y_test=y_test,
+        _pending={"train": (n_train, train_seed, config),
+                  "val": (n_val, val_seed, config)},
     )
+    return dataset

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
-from scipy import ndimage
 
 from repro.errors import DatasetError
 from repro.rng import SeedLike, ensure_rng
@@ -165,6 +164,10 @@ def render_digit(
     config: SyntheticDigitConfig = SyntheticDigitConfig(),
 ) -> np.ndarray:
     """One augmented sample of ``digit`` as a (size, size) float image."""
+    # Imported on first render, not with the package: a process that
+    # never synthesizes images (a fleet worker) never loads it.
+    from scipy import ndimage
+
     field = _cached_field(digit, config)
     width = config.stroke_width + rng.uniform(
         -config.stroke_width_jitter, config.stroke_width_jitter

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, positive_finite
 from repro.rng import DEFAULT_SEED
 
 #: Configuration names understood by the serving layer, mirroring
@@ -61,11 +61,7 @@ class EvalRequest:
             raise ConfigurationError(
                 f"unknown config {self.config!r}; known: {', '.join(KNOWN_CONFIGS)}"
             )
-        if not isinstance(self.vdd, (int, float)) or isinstance(self.vdd, bool):
-            raise ConfigurationError(f"vdd must be a number, got {self.vdd!r}")
-        if self.vdd <= 0:
-            raise ConfigurationError(f"vdd must be positive, got {self.vdd}")
-        object.__setattr__(self, "vdd", float(self.vdd))
+        object.__setattr__(self, "vdd", positive_finite("vdd", self.vdd))
         if self.msb_in_8t is not None:
             object.__setattr__(self, "msb_in_8t", _int_field("msb_in_8t", self.msb_in_8t))
         if self.msb_per_layer is not None:

@@ -39,7 +39,6 @@ if TYPE_CHECKING:  # runtime imports live in the sweep methods (avoids a cycle)
     from repro.distributed.dispatcher import ShardDispatcher
 
 import numpy as np
-from scipy.stats import norm
 
 from repro.errors import ConfigurationError, positive_finite
 from repro.rng import SeedLike, derive_seed, resolve_seed
@@ -259,7 +258,12 @@ def _tail_probability(tally: MechanismTally, n_samples: int) -> float:
     if sigma == 0.0:
         tail = 0.0 if mu > 0 else 1.0
     else:
-        tail = float(norm.cdf(-mu / sigma))
+        # The standard normal CDF, bit-identical to scipy.stats.norm.cdf.
+        # Imported here, not with the module: fleet workers only tally,
+        # so they never load it.
+        from scipy.special import ndtr
+
+        tail = float(ndtr(-mu / sigma))
     return min(1.0, tail * finite / n + float(inf_fail) / n)
 
 

@@ -1,5 +1,9 @@
 """Tests of the benchmark specs, model training/caching and the simulator."""
 
+import dataclasses
+import pickle
+
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -11,6 +15,7 @@ from repro.core import (
 )
 from repro.errors import ConfigurationError
 from repro.mem.accounting import BASELINE_VDD_6T
+from repro.nn.datasets import generate_digit_images, load_synthetic_digits, loader
 
 
 class TestSpecs:
@@ -63,11 +68,41 @@ class TestTrainedModel:
         first = train_benchmark_ann(**kwargs)
         again = train_benchmark_ann(**kwargs)
         assert first.quantized_accuracy == again.quantized_accuracy
-        import numpy as np
-
         for a, b in zip(first.network.weight_matrices(),
                         again.network.weight_matrices()):
             np.testing.assert_allclose(a, b, atol=1e-12)
+
+    def test_warm_load_generates_only_the_test_split(self, tmp_path, monkeypatch, tables):
+        sizes = dict(n_train=300, n_val=100, n_test=100, seed=3)
+        kwargs = dict(profile="fast", epochs=1, cache_dir=str(tmp_path), **sizes)
+        train_benchmark_ann(**kwargs)  # cold: trains and caches the weights
+        calls = []
+
+        def counting(n_samples, *args, **kw):
+            calls.append(n_samples)
+            return generate_digit_images(n_samples, *args, **kw)
+
+        monkeypatch.setattr(loader, "generate_digit_images", counting)
+        warm = train_benchmark_ann(**kwargs)
+        assert calls == [100]
+
+        # Shipping the model to workers keeps the other splits pending.
+        clone = CircuitToSystemSimulator(warm, tables=tables, n_trials=1).worker_clone()
+        pickle.loads(pickle.dumps(clone))
+        pickle.loads(pickle.dumps(warm))
+        assert calls == [100]
+        pruned = clone.model.dataset
+        for x, y in ((pruned.x_train, pruned.y_train), (pruned.x_val, pruned.y_val)):
+            assert x.shape == (0, 784) and x.dtype == warm.dataset.x_test.dtype
+            assert y.shape == (0,) and y.dtype == warm.dataset.y_test.dtype
+        np.testing.assert_array_equal(pruned.x_test, warm.dataset.x_test)
+
+        # Once read, the pending splits are those of a full load.
+        full = load_synthetic_digits(**sizes)
+        for field in dataclasses.fields(full):
+            np.testing.assert_array_equal(
+                getattr(warm.dataset, field.name), getattr(full, field.name)
+            )
 
 
 class TestSimulator:

@@ -55,6 +55,15 @@ class TestFactories:
         with pytest.raises(ConfigurationError):
             SynapticMemoryArchitecture(name="x", banks=[], vdd=0.65)
 
+    @pytest.mark.parametrize(
+        "vdd", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0, True]
+    )
+    def test_bad_vdd_rejected(self, base75, vdd):
+        with pytest.raises(ConfigurationError, match="vdd"):
+            SynapticMemoryArchitecture(name="x", banks=base75.banks, vdd=vdd)
+        with pytest.raises(ConfigurationError, match="vdd"):
+            base75.at_voltage(vdd)
+
 
 class TestAggregates:
     def test_area_grows_with_protection(self, tables, base75):

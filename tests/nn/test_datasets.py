@@ -1,5 +1,7 @@
 """Tests of the synthetic digit generator and loader."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,9 @@ from repro.nn.datasets import (
     glyph_distance_field,
     load_synthetic_digits,
 )
+from repro.nn.datasets import loader
 from repro.nn.datasets.synth_digits import GLYPHS, render_digit
-from repro.rng import ensure_rng
+from repro.rng import derive_seed, ensure_rng
 
 
 class TestGlyphs:
@@ -99,3 +102,51 @@ class TestLoader:
     def test_rejects_bad_sizes(self):
         with pytest.raises(DatasetError):
             load_synthetic_digits(n_train=0, n_val=1, n_test=1)
+
+
+class TestDeferredSplits:
+    """Train and val are generated on first read; the test split at once."""
+
+    SIZES = dict(n_train=60, n_val=20, n_test=30, seed=4)
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Sample counts of every ``generate_digit_images`` call."""
+        seen = []
+
+        def counting(n_samples, *args, **kwargs):
+            seen.append(n_samples)
+            return generate_digit_images(n_samples, *args, **kwargs)
+
+        monkeypatch.setattr(loader, "generate_digit_images", counting)
+        return seen
+
+    def test_train_and_val_generated_on_first_read(self, calls):
+        data = load_synthetic_digits(**self.SIZES)
+        assert calls == [30]
+        data.x_test, data.y_test
+        assert calls == [30]
+        data.y_train, data.x_train
+        assert calls == [30, 60]
+        data.x_val, data.y_val, data.x_train
+        assert calls == [30, 60, 20]
+
+    def test_splits_equal_eager_generation(self):
+        data = load_synthetic_digits(**self.SIZES)
+        for k, split in enumerate(("train", "val", "test"), start=1):
+            n_samples = self.SIZES[f"n_{split}"]
+            x, y = generate_digit_images(n_samples, seed=derive_seed(4, k))
+            np.testing.assert_array_equal(getattr(data, f"x_{split}"), x)
+            np.testing.assert_array_equal(getattr(data, f"y_{split}"), y)
+
+    def test_pickle_round_trip_keeps_splits_deferred(self, calls):
+        data = load_synthetic_digits(**self.SIZES)
+        copy = pickle.loads(pickle.dumps(data))
+        assert calls == [30]
+        np.testing.assert_array_equal(copy.x_test, data.x_test)
+        assert copy.summary() == data.summary()
+        np.testing.assert_array_equal(copy.x_val, data.x_val)
+
+    def test_unknown_attribute_still_raises(self):
+        data = load_synthetic_digits(**self.SIZES)
+        assert not hasattr(data, "x_holdout")

@@ -37,7 +37,9 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="unknown config"):
             EvalRequest(config="config9", vdd=0.7)
 
-    @pytest.mark.parametrize("vdd", [0.0, -1.0, "0.7", True])
+    @pytest.mark.parametrize(
+        "vdd", [0.0, -1.0, "0.7", True, float("nan"), float("inf"), float("-inf")]
+    )
     def test_bad_vdd(self, vdd):
         with pytest.raises(ConfigurationError):
             EvalRequest(config="base", vdd=vdd)

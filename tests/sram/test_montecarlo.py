@@ -1,11 +1,14 @@
 """Tests of the Monte-Carlo failure analysis (paper Fig. 5 behaviour)."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.sram import FailureType, MonteCarloAnalyzer, failure_rates_vs_vdd
 from repro.sram.failures import compute_failure_margins, margin_statistics
+from repro.sram.montecarlo import MarginTally, MechanismTally, rates_from_tally
 from repro.sram.read_path import nominal_read_cycle
 
 
@@ -105,3 +108,57 @@ class TestPaperFig5Shape:
         rates = failure_rates_vs_vdd(cell6, [0.7, 0.8], n_samples=2000, seed=5)
         assert [r.vdd for r in rates] == [0.7, 0.8]
         assert rates[0].p_cell >= rates[1].p_cell
+
+
+class TestGaussianTail:
+    """The tail uses ``scipy.special.ndtr``; results must stay those of
+    the former ``scipy.stats.norm.cdf`` call, bit for bit."""
+
+    RATIOS = np.concatenate([np.linspace(-40.0, 40.0, 321),
+                             [-38.7, -38.4, -37.5, -8.3, 1e-9, 37.5, 38.4]])
+
+    @staticmethod
+    def _tally(ratio, n=1000):
+        # One block of n finite margins with mean -ratio and unit spread,
+        # so the fitted tail is P(N(0, 1) < ratio) up to rounding.
+        mu = -float(ratio)
+        mech = MechanismTally(
+            fails=(0,), finite=(n,), inf_fails=(0,), totals=(n * mu,),
+            totals_sq=((n - 1) + n * mu * mu,), mins=(mu - 3.0,),
+        )
+        return MarginTally(
+            block_samples=n, block_index=(0,), block_n=(n,), union_fails=(0,),
+            mechanisms={ftype.value: mech for ftype in FailureType},
+        )
+
+    @staticmethod
+    def _former_tail(mech, n):
+        """The tail as computed before the switch, with ``norm.cdf``."""
+        from scipy.stats import norm
+
+        finite = mech.finite_count
+        mu = mech.total() / finite
+        var = (mech.total_sq() - finite * mu * mu) / (finite - 1)
+        sigma = math.sqrt(max(var, 0.0))
+        tail = float(norm.cdf(-mu / sigma))
+        return min(1.0, tail * finite / n + float(mech.inf_fail_count) / n)
+
+    def test_ndtr_matches_norm_cdf(self):
+        from scipy.special import ndtr
+        from scipy.stats import norm
+
+        x = np.linspace(-40.0, 40.0, 200_001)
+        assert np.array_equal(ndtr(x), norm.cdf(x))
+
+    def test_rates_match_former_norm_cdf_tail(self):
+        current, former = [], []
+        for ratio in self.RATIOS:
+            tally = self._tally(ratio)
+            rates = rates_from_tally(0.7, tally)
+            for name, mech in tally.mechanisms.items():
+                current.append(rates.gaussian[name].hex())
+                former.append(self._former_tail(mech, tally.n_samples).hex())
+        assert current == former
+        # The grid reaches both saturated ends and the subnormal tail.
+        assert "0x0.0p+0" in current and "0x1.0000000000000p+0" in current
+        assert any(0.0 < float.fromhex(v) < 1e-300 for v in current)
